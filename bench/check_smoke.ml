@@ -1,11 +1,13 @@
-(* Post-run check for the @bench-smoke alias: parse the JSON summary the
-   bench harness just wrote (with the checked parser — the same one that
-   validates trace exports) and assert that the SAT preprocessor actually
-   ran and did real work during the experiment.  This is the guard that
-   keeps the `simplify` plumbing honest end-to-end: if the default ever
+(* Post-run checks for the smoke aliases in bench/dune.  The `summary` mode
+   parses the JSON summary `sepe bench` just wrote (with the checked
+   parser — the same one that validates trace exports) and asserts that
+   the SAT preprocessor and the AIG layer actually ran and did real work
+   during the experiment, and that every experiment record carries the
+   work it did.  This is the guard that keeps the `simplify` plumbing and
+   the per-experiment attribution honest end-to-end: if the default ever
    silently flips off, or the counters stop being published, the smoke
    alias fails instead of the regression surfacing as a mystery slowdown
-   in a full bench run. *)
+   or a 100 % drop in a ledger. *)
 
 module Json = Sqed_obs.Json
 
@@ -25,7 +27,7 @@ let read_file path =
   close_in ic;
   s
 
-(* --report mode, used by the @report-smoke alias: validate the flight
+(* `report` mode, used by the @history-smoke alias: validate the flight
    recorder's artifacts — the run.json sidecar, the JSONL event log and
    (optionally) the standalone metrics snapshot — all through the same
    checked parser.  The counter assertions pin the recorder's plumbing:
@@ -104,12 +106,12 @@ let check_report run_json log_jsonl metrics_json =
           Printf.printf "FAIL %s does not parse: %s\n" path e;
           incr failures));
   if !failures > 0 then begin
-    Printf.printf "report-smoke check: %d failure(s)\n" !failures;
+    Printf.printf "report check: %d failure(s)\n" !failures;
     exit 1
   end;
-  print_endline "report-smoke check: all checks passed"
+  print_endline "report check: all checks passed"
 
-(* --portfolio mode, used by the @portfolio-smoke alias: after a
+(* `portfolio` mode, used by the @portfolio-smoke alias: after a
    `fig3 --fast --portfolio 2` run (witness BMC on), assert through the
    run.json sidecar that the portfolio actually raced — solves and
    workers counted, clauses exported into the exchange — and through the
@@ -168,7 +170,7 @@ let check_portfolio run_json log_jsonl =
   end;
   print_endline "portfolio-smoke check: all checks passed"
 
-(* --ledger mode, used by the @history-smoke alias: after bench runs have
+(* `ledger` mode, used by the @history-smoke alias: after bench runs have
    appended to a run ledger, re-read it line by line with the checked
    parser and assert every entry carries the sepe.ledger/1 envelope —
    schema tag, provenance block (commit, host, cores, compiler, the
@@ -236,26 +238,9 @@ let check_ledger path min_entries =
   end;
   print_endline "history-smoke check: all checks passed"
 
-let () =
-  if Array.length Sys.argv > 2 && Sys.argv.(1) = "--ledger" then begin
-    let min_entries =
-      if Array.length Sys.argv > 3 then int_of_string Sys.argv.(3) else 1
-    in
-    check_ledger Sys.argv.(2) min_entries;
-    exit 0
-  end;
-  if Array.length Sys.argv > 3 && Sys.argv.(1) = "--portfolio" then begin
-    check_portfolio Sys.argv.(2) Sys.argv.(3);
-    exit 0
-  end;
-  if Array.length Sys.argv > 3 && Sys.argv.(1) = "--report" then begin
-    let metrics =
-      if Array.length Sys.argv > 4 then Some Sys.argv.(4) else None
-    in
-    check_report Sys.argv.(2) Sys.argv.(3) metrics;
-    exit 0
-  end;
-  let path = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_sepe.json" in
+(* Summary mode, used by the @history-smoke alias on the JSON summary of
+   its first `sepe bench` run. *)
+let check_summary path =
   match Json.parse (read_file path) with
   | Error e ->
       Printf.printf "FAIL %s does not parse: %s\n" path e;
@@ -302,10 +287,52 @@ let () =
           "resil.checkpoint.records";
         ];
       (match Json.member "experiments" j with
-      | Some (Json.List (_ :: _)) -> check "at least one experiment record" true
+      | Some (Json.List (_ :: _ as exps)) ->
+          check "at least one experiment record" true;
+          (* The records' work is read from the metrics registry by delta;
+             zeros here mean the registry was off while the experiment
+             ran, and a ledger entry built from them reads as a 100 %
+             drop. *)
+          List.iter
+            (fun e ->
+              let name =
+                Option.value ~default:"?"
+                  (Option.bind (Json.member "name" e) Json.to_string_opt)
+              in
+              List.iter
+                (fun key ->
+                  check
+                    (Printf.sprintf "experiment %s records %s > 0" name key)
+                    (match Option.bind (Json.member key e) Json.to_int_opt with
+                    | Some v -> v > 0
+                    | None -> false))
+                [ "clauses"; "conflicts" ])
+            exps
       | _ -> check "at least one experiment record" false);
       if !failures > 0 then begin
-        Printf.printf "bench-smoke check: %d failure(s)\n" !failures;
+        Printf.printf "bench-summary check: %d failure(s)\n" !failures;
         exit 1
       end;
-      print_endline "bench-smoke check: all checks passed"
+      print_endline "bench-summary check: all checks passed"
+
+let () =
+  let open Cmdliner in
+  let file n docv = Arg.(required & pos n (some file) None & info [] ~docv) in
+  let cmd name doc term = Cmd.v (Cmd.info name ~doc) term in
+  exit
+    (Cmd.eval
+       (Cmd.group (Cmd.info "check_smoke")
+          [
+            cmd "summary" "Check a sepe bench JSON summary."
+              Term.(const check_summary $ file 0 "SUMMARY");
+            cmd "report" "Check a run.json sidecar, JSONL log and metrics."
+              Term.(
+                const check_report $ file 0 "RUN_JSON" $ file 1 "LOG"
+                $ Arg.(value & pos 2 (some file) None & info [] ~docv:"METRICS"));
+            cmd "portfolio" "Check a portfolio run's run.json and JSONL log."
+              Term.(const check_portfolio $ file 0 "RUN_JSON" $ file 1 "LOG");
+            cmd "ledger" "Check every entry of a run ledger."
+              Term.(
+                const check_ledger $ file 0 "LEDGER"
+                $ Arg.(value & pos 1 int 1 & info [] ~docv:"MIN_ENTRIES"));
+          ]))

@@ -55,6 +55,15 @@ let degraded_exits =
 let ledger_fast = ref false
 let ledger_jobs = ref None
 
+(* The provenance a ledger entry of this run carries; the config stamp
+   reads the solver switches, so call it after [with_obs] set them. *)
+let ledger_provenance () =
+  History.provenance
+    ~config:
+      (Sqed_exp.Bench.config_json ~fast:!ledger_fast
+         ~jobs:(Option.value !ledger_jobs ~default:0))
+    ()
+
 (* ---- observability ----------------------------------------------------- *)
 
 (* Every subcommand takes the same three flags; [with_obs] flips the
@@ -199,8 +208,9 @@ let obs_t =
       & info [ "ledger" ] ~docv:"FILE"
           ~doc:
             "Append this run's machine-readable snapshot (the $(b,run.json) \
-             payload, stamped with git commit/dirty flag, hostname, core \
-             count, OCaml version and solver config) to the append-only \
+             payload, or the $(b,sepe bench) summary, stamped with git \
+             commit/dirty flag, hostname, core count, OCaml version and \
+             solver config) to the append-only \
              JSONL run ledger at $(docv).  Browse and diff the archive \
              with $(b,sepe runs list|show|compare); when combined with \
              $(b,--report), the HTML report grows a cross-run history \
@@ -216,7 +226,7 @@ let obs_t =
              $(b,pool.task:2,checkpoint.write:1) makes the 2nd pool task \
              and the 1st checkpoint append raise.  Sites: pool.task, \
              sat.solve, smt.bitblast, checkpoint.write; clause forms \
-             site:N, site:N/M, site:pP\\@SEED.  Overrides the SEPE_FAULT \
+             site:N, site:N/M, site:pP@SEED.  Overrides the SEPE_FAULT \
              environment variable.  For exercising the degraded paths — \
              campaigns report the injected failures and keep going.")
   in
@@ -243,7 +253,11 @@ let obs_t =
     $ metrics $ metrics_json $ trace $ log $ log_level $ progress $ report
     $ ledger $ no_simplify $ no_aig $ portfolio $ portfolio_det $ fault)
 
-let with_obs obs f =
+(* [ledger_run] yields what --ledger archives as (kind, label, payload),
+   or None to archive nothing; by default the flight-recorder run.json
+   payload of the subcommand.  [history] is the ledger the report's
+   cross-run section reads (default: --ledger). *)
+let with_obs ?ledger_run ?history obs f =
   if obs.obs_no_simplify then Sqed_smt.Solver.simplify_default := false;
   if obs.obs_no_aig then Sqed_smt.Solver.aig_default := false;
   if obs.obs_portfolio > 1 then
@@ -303,41 +317,31 @@ let with_obs obs f =
       | Some path ->
           let cmdline = String.concat " " (Array.to_list Sys.argv) in
           let history =
-            match obs.obs_ledger with
-            | Some lp -> (History.load lp).History.entries
-            | None -> []
+            match (history, obs.obs_ledger) with
+            | Some lp, _ | None, Some lp -> (History.load lp).History.entries
+            | None, None -> []
           in
           let sidecar =
             Report.write ~title:"sepe run" ~cmdline ~history ~path ()
           in
           Printf.printf "report: wrote %s (+ %s)\n" path sidecar
       | None -> ());
-      (match obs.obs_ledger with
-      | Some path ->
-          let cmdline = String.concat " " (Array.to_list Sys.argv) in
-          let config =
-            [
-              ( "jobs",
-                Json.Int
-                  (match !ledger_jobs with
-                  | Some j -> j
-                  | None -> Pool.default_jobs ()) );
-              ("fast", Json.Bool !ledger_fast);
-              ("simplify", Json.Bool (not obs.obs_no_simplify));
-              ("aig", Json.Bool (not obs.obs_no_aig));
-              ("portfolio", Json.Int (max 1 obs.obs_portfolio));
-              ("portfolio_deterministic", Json.Bool obs.obs_portfolio_det);
-            ]
-          in
-          let label =
-            if Array.length Sys.argv > 1 then Sys.argv.(1) else "sepe"
-          in
-          History.append path
-            (History.entry ~kind:"sepe" ~label
-               ~provenance:(History.provenance ~config ())
-               ~run:(Report.run_payload ~title:"sepe run" ~cmdline ()));
-          Printf.printf "ledger: appended run to %s\n" path
-      | None -> ());
+      (let run =
+         match ledger_run with
+         | Some f -> f ()
+         | None ->
+             let cmdline = String.concat " " (Array.to_list Sys.argv) in
+             Some
+               ( "sepe",
+                 (if Array.length Sys.argv > 1 then Sys.argv.(1) else "sepe"),
+                 Report.run_payload ~title:"sepe run" ~cmdline () )
+       in
+       match (obs.obs_ledger, run) with
+       | Some path, Some (kind, label, run) ->
+           History.append path
+             (History.entry ~kind ~label ~provenance:(ledger_provenance ()) ~run);
+           Printf.printf "ledger: appended run to %s\n" path
+       | _ -> ());
       if obs.obs_metrics then print_string (Metrics.report ());
       Obs_log.close_sink ())
     f
@@ -361,6 +365,24 @@ let jobs_arg =
         ~doc:
           "Worker domains for parallel campaigns (default: the SEPE_JOBS \
            environment variable, then the machine's core count).")
+
+let fast_arg =
+  Arg.(
+    value & flag
+    & info [ "fast" ]
+        ~doc:
+          "Reduced workload: smaller case sets, bounds and budgets (Fig. 3: \
+           4 cases, k=2, one seed).")
+
+let checkpoint_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "checkpoint" ] ~docv:"FILE"
+        ~doc:
+          "Journal each completed campaign cell to $(docv) (append-only JSON \
+           lines) and resume from it: a rerun with the same file skips \
+           already-journaled cells and reuses their numbers.")
 
 let print_solver_stats (st : Sqed_bmc.Engine.stats) =
   let s = st.Sqed_bmc.Engine.sat in
@@ -1075,14 +1097,6 @@ let doctor_cmd =
 (* ---- sepe fig3 ------------------------------------------------------------ *)
 
 let fig3_cmd =
-  let fast =
-    Arg.(
-      value & flag
-      & info [ "fast" ]
-          ~doc:
-            "Reduced workload: 4 cases, k=2, one seed (same as `bench fig3 \
-             --fast`).")
-  in
   let no_witness =
     Arg.(
       value & flag
@@ -1090,17 +1104,6 @@ let fig3_cmd =
           ~doc:
             "Skip the trailing tiny BMC verification (keeps the run \
              synthesis-only).")
-  in
-  let checkpoint =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "Journal each completed (case, engine, seed) cell to $(docv) \
-             (append-only JSON lines) and resume from it: a rerun with the \
-             same file skips already-journaled cells and reuses their \
-             numbers.")
   in
   let run obs fast no_witness jobs checkpoint =
     ledger_fast := fast;
@@ -1117,7 +1120,7 @@ let fig3_cmd =
          "Run the paper's Fig. 3 synthesis experiment (plus a tiny BMC \
           witness), e.g. with --trace/--metrics to profile the whole \
           pipeline.")
-    Term.(const run $ obs_t $ fast $ no_witness $ jobs_arg $ checkpoint)
+    Term.(const run $ obs_t $ fast_arg $ no_witness $ jobs_arg $ checkpoint_arg)
 
 (* ---- sepe runs ------------------------------------------------------------ *)
 
@@ -1133,8 +1136,7 @@ let runs_ledger_arg =
     & info [ "ledger" ] ~docv:"FILE"
         ~doc:
           "The run ledger to read: an append-only JSONL archive written by \
-           $(b,sepe --ledger) / $(b,bench --ledger) (default: the committed \
-           baseline ledger).")
+           $(b,sepe --ledger) (default: the committed baseline ledger).")
 
 let load_ledger path =
   let loaded = History.load path in
@@ -1142,6 +1144,43 @@ let load_ledger path =
     Printf.printf "note: dropped %d torn/invalid ledger line(s)\n"
       loaded.History.dropped;
   loaded.History.entries
+
+(* Print the deltas — gated metrics always, counters only when they left
+   their band (or every one with [all]) — and the verdict line; true when
+   a gated metric regressed. *)
+let print_deltas ?(all = false) deltas =
+  List.iter
+    (fun d ->
+      if
+        all
+        || Diff.gated d.Diff.dl_metric
+        || d.Diff.dl_verdict = Diff.Regressed
+        || d.Diff.dl_verdict = Diff.Improved
+      then print_endline (Diff.to_string d))
+    deltas;
+  match Diff.regressions deltas with
+  | [] ->
+      print_endline "no gated regressions";
+      false
+  | regs ->
+      Printf.printf "PERF REGRESSION: %d gated metric(s) regressed\n"
+        (List.length regs);
+      true
+
+(* The perf-regression sentinel: ledger entry [cur] against the noise
+   bands of the config-compatible entries of [history]. *)
+let gate ?all ~history cur =
+  let g = Diff.gate ~history ~cur in
+  Printf.printf "checking against the noise band of %d compatible earlier \
+                 run(s)%s\n"
+    g.Diff.compatible
+    (if g.Diff.ignored = 0 then ""
+     else
+       Printf.sprintf
+         ", ignoring %d with a different {jobs,fast,simplify,aig,portfolio} \
+          config"
+         g.Diff.ignored);
+  print_deltas ?all g.Diff.deltas
 
 (* 1-based index into the ledger, counted from the oldest entry, as
    printed by `runs list`; 0 or negative counts from the newest. *)
@@ -1208,10 +1247,9 @@ let runs_compare_cmd =
           ~doc:
             "Instead of a two-run A/B diff, check CURRENT against the \
              noise band (median +- k*MAD) of every config-compatible \
-             earlier entry — the same math as the $(b,bench --baseline) \
-             sentinel.")
+             earlier entry — the same gate as $(b,sepe bench --baseline).")
   in
-  let gate =
+  let fail_on_regression =
     Arg.(
       value & flag
       & info [ "gate" ]
@@ -1228,7 +1266,7 @@ let runs_compare_cmd =
             "Print every metric delta, counters included (default: gated \
              metrics plus anything that left its band).")
   in
-  let run path base_idx cur_idx against_history gate all =
+  let run path base_idx cur_idx against_history fail_on_regression all =
     let entries = load_ledger path in
     if List.length entries < 2 then begin
       Printf.eprintf
@@ -1243,56 +1281,35 @@ let runs_compare_cmd =
         Printf.eprintf "entry index out of range for %s\n" path;
         exit 1
     | Some base_e, Some cur_e ->
-        let deltas =
-          if against_history then begin
-            let earlier =
-              (* Everything strictly before CURRENT, config-compatible. *)
-              let rec before acc = function
-                | [] -> List.rev acc
-                | e :: _ when e == cur_e -> List.rev acc
-                | e :: rest -> before (e :: acc) rest
-              in
-              before [] entries
-              |> List.filter (History.compatible cur_e)
-              |> List.filter_map History.run_of
+        let regressed =
+          if against_history then
+            (* Everything strictly before CURRENT. *)
+            let rec before acc = function
+              | [] -> List.rev acc
+              | e :: _ when e == cur_e -> List.rev acc
+              | e :: rest -> before (e :: acc) rest
             in
-            Printf.printf
-              "checking entry vs the noise band of %d compatible earlier \
-               run(s)\n"
-              (List.length earlier);
-            Diff.compare_history ~history:earlier ~cur:(want cur_e) ()
-          end
+            gate ~all ~history:(before [] entries) cur_e
           else begin
             if not (History.compatible base_e cur_e) then
               Printf.printf
                 "note: the two entries have different {jobs,fast,simplify,\
                  aig,portfolio} configs; deltas may reflect config, not \
                  code\n";
-            Diff.compare_runs ~base:(want base_e) ~cur:(want cur_e) ()
+            print_deltas ~all
+              (Diff.compare_runs ~base:(want base_e) ~cur:(want cur_e) ())
           end
         in
-        List.iter
-          (fun d ->
-            if
-              all
-              || Diff.gated d.Diff.dl_metric
-              || d.Diff.dl_verdict = Diff.Regressed
-              || d.Diff.dl_verdict = Diff.Improved
-            then print_endline (Diff.to_string d))
-          deltas;
-        let regs = Diff.regressions deltas in
-        if regs <> [] then begin
-          Printf.printf "%d gated metric(s) regressed\n" (List.length regs);
-          if gate then regression_exit := true
-        end
-        else Printf.printf "no gated regressions\n"
+        if regressed && fail_on_regression then regression_exit := true
   in
   Cmd.v
     (Cmd.info "compare" ~exits:degraded_exits
        ~doc:
          "Diff two archived runs, or one run against the noise band of its \
           history.")
-    Term.(const run $ runs_ledger_arg $ base $ cur $ against_history $ gate $ all)
+    Term.(
+      const run $ runs_ledger_arg $ base $ cur $ against_history
+      $ fail_on_regression $ all)
 
 let runs_cmd =
   Cmd.group
@@ -1301,6 +1318,93 @@ let runs_cmd =
          "Browse and diff the persistent run ledger (see $(b,--ledger) on \
           the other subcommands).")
     [ runs_list_cmd; runs_show_cmd; runs_compare_cmd ]
+
+(* ---- sepe bench ----------------------------------------------------------- *)
+
+let bench_cmd =
+  let experiments =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun n -> (n, n)) Sqed_exp.Bench.names)) []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:
+            (Printf.sprintf
+               "Experiments to run, in order (default: all of them): %s."
+               (Arg.doc_alts Sqed_exp.Bench.names)))
+  in
+  let json =
+    Arg.(
+      value
+      & opt string "BENCH_sepe.json"
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:
+            "Write the machine-readable summary (solver config, one \
+             wall/clauses/conflicts record per experiment, metrics snapshot) \
+             to $(docv).")
+  in
+  let baseline =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "baseline" ] ~docv:"FILE"
+          ~doc:
+            "Gate this run against the noise bands of the config-compatible \
+             entries of the run ledger $(docv), before any $(b,--ledger) \
+             append; a gated metric above its band exits with code 5.")
+  in
+  let handicap =
+    Arg.(
+      value & opt float 0.0
+      & info [ "handicap" ] ~docv:"F"
+          ~doc:
+            "Sleep $(docv) times each experiment's wall before its record is \
+             cut, inflating the recorded wall deterministically.  For showing \
+             that the $(b,--baseline) sentinel trips.")
+  in
+  let run obs fast jobs checkpoint json baseline handicap names =
+    ledger_fast := fast;
+    ledger_jobs := jobs;
+    let label = match names with [] -> "all" | ns -> String.concat "+" ns in
+    let payload = ref None in
+    with_obs
+      ~ledger_run:(fun () -> Option.map (fun p -> ("bench", label, p)) !payload)
+      ?history:baseline obs
+    @@ fun () ->
+    (* The records' clause/conflict counts come from the metrics registry,
+       and the payload embeds the sampler's counters. *)
+    Metrics.enabled := true;
+    Sampler.enabled := true;
+    let verdict, p =
+      Sqed_exp.Bench.run ~fast ?jobs ?checkpoint ~handicap names
+    in
+    payload := Some p;
+    Out_channel.with_open_text json (fun oc ->
+        output_string oc (Json.to_string p ^ "\n"));
+    Printf.printf "\nwrote %s\n%!" json;
+    if Verdict.degraded verdict then
+      Printf.printf "%s\n%!" (Verdict.summary_line verdict);
+    note_summary verdict;
+    (* Gate before with_obs appends this run, so a run is never its own
+       baseline. *)
+    Option.iter
+      (fun path ->
+        Printf.printf "\nbaseline: this run vs ledger %s\n" path;
+        let cur =
+          History.entry ~kind:"bench" ~label ~provenance:(ledger_provenance ())
+            ~run:p
+        in
+        if gate ~history:(load_ledger path) cur then regression_exit := true)
+      baseline
+  in
+  Cmd.v
+    (Cmd.info "bench" ~exits:degraded_exits
+       ~doc:
+         "Run the paper's experiments (Fig. 3, Table 1, Fig. 4, E4-E7, the \
+          portfolio A/B), write a machine-readable summary and optionally \
+          gate it against a run ledger.")
+    Term.(
+      const run $ obs_t $ fast_arg $ jobs_arg $ checkpoint_arg $ json $ baseline
+      $ handicap $ experiments)
 
 let main =
   Cmd.group
@@ -1311,7 +1415,7 @@ let main =
     [
       bugs_cmd; synth_cmd; table_cmd; verify_cmd; sweep_cmd; export_cmd;
       sim_cmd; campaign_cmd; solve_cmd; prove_cmd; doctor_cmd; fig3_cmd;
-      runs_cmd;
+      bench_cmd; runs_cmd;
     ]
 
 let () =

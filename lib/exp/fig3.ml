@@ -1,10 +1,10 @@
 (* The flagship experiment (paper Fig. 3): time to synthesize equivalent
    programs per original instruction, HPF-CEGIS vs iterative CEGIS.
 
-   Shared between the bench harness and the `sepe fig3` subcommand so the
-   workload is identical wherever it runs.  The optional witness phase
+   Shared between `sepe bench` (via Bench) and the `sepe fig3` subcommand
+   so the workload is identical wherever it runs.  The optional witness phase
    appends one tiny BMC verification so a `sepe fig3 --trace` trace also
-   contains bmc.depth spans; the bench harness keeps it off to preserve
+   contains bmc.depth spans; `sepe bench` keeps it off to preserve
    the historical fig3 workload.
 
    The fan-out is supervised: each (case, engine, seed) cell reports a
@@ -276,7 +276,7 @@ let run ?(fast = false) ?(jobs = 0) ?(witness = false) ?checkpoint ?cases
   let th = total (fun (_, a, _) -> a) and ti = total (fun (_, _, b) -> b) in
   (* Publish the headline totals as gauges so ledger'd runs archive the
      paper's Fig-3 claim (the run ledger flattens gauges for cross-run
-     comparison) from either driver, not just the bench harness. *)
+     comparison) from either driver, not just `sepe bench`. *)
   Metrics.set (Metrics.gauge "fig3.hpf_total_ms") (int_of_float (th *. 1e3));
   Metrics.set (Metrics.gauge "fig3.iter_total_ms") (int_of_float (ti *. 1e3));
   if ti > 0.0 then

@@ -1,6 +1,6 @@
 (** Paper Fig. 3: HPF-CEGIS vs iterative CEGIS synthesis times.
 
-    Shared by the bench harness and the [sepe fig3] subcommand. *)
+    Shared by [sepe bench] ({!Bench}) and the [sepe fig3] subcommand. *)
 
 val run :
   ?fast:bool ->

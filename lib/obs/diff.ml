@@ -173,6 +173,18 @@ let compare_history ?k ?(rel_floor = 0.6) ?(abs_floor = 1.0) ?(window = 20)
 let regressions ds =
   List.filter (fun d -> gated d.dl_metric && d.dl_verdict = Regressed) ds
 
+type gate = { deltas : delta list; compatible : int; ignored : int }
+
+let gate ~history ~cur =
+  let compatible = List.filter (History.compatible cur) history in
+  let baseline = List.filter_map History.run_of compatible in
+  let run = Option.value (History.run_of cur) ~default:Json.Null in
+  {
+    deltas = compare_history ~history:baseline ~cur:run ();
+    compatible = List.length compatible;
+    ignored = List.length history - List.length compatible;
+  }
+
 (* -- rendering ------------------------------------------------------------ *)
 
 let verdict_name = function

@@ -97,6 +97,23 @@ val regressions : delta list -> delta list
 (** The deltas that should fail a gated run: {!Regressed} verdicts on
     {!gated} metrics. *)
 
+(** {1 The perf gate} *)
+
+type gate = {
+  deltas : delta list;  (** {!compare_history} over the compatible entries *)
+  compatible : int;  (** entries the bands were computed over *)
+  ignored : int;  (** entries skipped for a different provenance config *)
+}
+
+val gate : history:Json.t list -> cur:Json.t -> gate
+(** The perf-regression sentinel shared by [sepe bench --baseline] and
+    [sepe runs compare --against-history]: [cur] is a ledger entry
+    ({!History.entry}), [history] the ledger entries it is judged
+    against (oldest first).  Entries whose provenance config differs
+    from [cur]'s ({!History.compatible}) are skipped and counted; the
+    rest feed {!compare_history} with its default band.  The run
+    regressed when {!regressions} of [deltas] is non-empty. *)
+
 val to_string : delta -> string
 (** One aligned human-readable line: metric, baseline, current, change
     and verdict. *)

@@ -6,17 +6,16 @@
     payload — a [run.json] flight-recorder snapshot or a bench summary —
     together with environment {!provenance}: git commit and dirty flag,
     hostname, core count, OCaml version and the solver configuration in
-    force.  Appends are a single buffered write followed by a flush (the
-    same discipline as the [lib/resil] checkpoint journal), so a crash
-    can lose at most the line being written; {!load} silently drops a
-    torn trailing line and counts it, which keeps a ledger shared by
-    interrupted runs safe to keep appending to.
+    force.  The file is written and read through {!Jsonl} (the same
+    discipline as the [lib/resil] checkpoint journal), so a crash can
+    lose at most the line being written, and a ledger shared by
+    interrupted runs stays safe to keep appending to.
 
     The ledger is the substrate for the differential engine ({!Diff})
-    and the perf-regression sentinel: [bench --baseline] compares the
-    run it just finished against the config-compatible tail of a
-    ledger, and [sepe runs list|show|compare] browse one from the
-    shell. *)
+    and the perf-regression sentinel ({!Diff.gate}): [sepe bench
+    --baseline] compares the run it just finished against the
+    config-compatible tail of a ledger, and [sepe runs list|show|compare]
+    browse one from the shell. *)
 
 val schema : string
 (** The entry schema tag, [sepe.ledger/1]. *)
@@ -41,9 +40,8 @@ val entry :
 (** {1 The file} *)
 
 val append : string -> Json.t -> unit
-(** [append path e] appends [e] as one line to [path] (creating it if
-    needed) and flushes.  Raises [Sys_error] when the file cannot be
-    opened or written. *)
+(** [append path e] appends [e] as one line to [path] ({!Jsonl.append}).
+    Raises [Sys_error] when the file cannot be opened or written. *)
 
 type loaded = {
   entries : Json.t list;  (** parseable entries, oldest first *)

@@ -13,77 +13,28 @@ type t = {
   mutex : Mutex.t;
 }
 
-let parse_line line =
-  match Json.parse line with
-  | Ok j -> (
-      match (Json.member "key" j, Json.member "result" j) with
-      | Some (Json.String k), Some r -> Some (k, r)
-      | _ -> None)
-  | Error _ -> None
-
-let load_existing table path =
-  let resumed = ref 0 and torn = ref 0 in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        try
-          while true do
-            let line = input_line ic in
-            if String.trim line <> "" then
-              match parse_line line with
-              | Some (k, r) ->
-                  Hashtbl.replace table k r;
-                  incr resumed;
-                  Metrics.add_always m_resumed 1
-              | None ->
-                  (* Torn or corrupt line — a crash mid-append.  Only
-                     the trailing line can legitimately be torn, but we
-                     tolerate (and count) any bad line rather than
-                     refuse to resume. *)
-                  incr torn;
-                  Metrics.add_always m_torn 1
-          done
-        with End_of_file -> ())
-  end;
-  (!resumed, !torn)
-
-(* A crash can leave the file without a trailing newline (a torn last
-   line); appending straight after it would fuse the next record onto
-   the torn bytes and corrupt it too. *)
-let ends_with_newline path =
-  if not (Sys.file_exists path) then true
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        len = 0
-        ||
-        (seek_in ic (len - 1);
-         input_char ic = '\n'))
-  end
+let parse_line j =
+  match (Json.member "key" j, Json.member "result" j) with
+  | Some (Json.String k), Some r -> Some (k, r)
+  | _ -> None
 
 let open_ path =
   let table = Hashtbl.create 64 in
-  let resumed, torn = load_existing table path in
+  (* A torn or corrupt line is a crash mid-append.  Only the trailing
+     line can legitimately be torn, but any bad line is tolerated (and
+     counted) rather than refusing to resume. *)
+  let records, torn = Sqed_obs.Jsonl.load parse_line path in
+  List.iter (fun (k, r) -> Hashtbl.replace table k r) records;
+  let resumed = List.length records in
+  Metrics.add_always m_resumed resumed;
+  Metrics.add_always m_torn torn;
   if torn > 0 then
     Log.warn "resil.checkpoint.torn"
       [ ("path", Log.Str path); ("lines", Log.I torn) ];
   if resumed > 0 then
     Log.info "resil.checkpoint.resumed"
       [ ("path", Log.Str path); ("entries", Log.I resumed) ];
-  let fresh_line = ends_with_newline path in
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
-  in
-  if not fresh_line then begin
-    output_char oc '\n';
-    flush oc
-  end;
-  { oc; table; mutex = Mutex.create () }
+  { oc = Sqed_obs.Jsonl.open_append path; table; mutex = Mutex.create () }
 
 let mem t key =
   Mutex.lock t.mutex;
@@ -101,17 +52,14 @@ let record t key result =
   (* Fault site first: an injected append failure must leave the
      in-memory table unchanged, like a real write error would. *)
   Fault.check "checkpoint.write";
-  let line =
-    Json.to_string (Json.Obj [ ("key", Json.String key); ("result", result) ])
-  in
+  let line = Json.Obj [ ("key", Json.String key); ("result", result) ] in
   Mutex.lock t.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
       (* One write + flush per line: with O_APPEND a line this short is
          atomic in practice, and flushing bounds loss to the last line. *)
-      output_string t.oc (line ^ "\n");
-      flush t.oc;
+      Sqed_obs.Jsonl.output t.oc line;
       Hashtbl.replace t.table key result;
       Metrics.add_always m_records 1)
 

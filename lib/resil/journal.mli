@@ -1,9 +1,9 @@
 (** Crash-safe append-only checkpoint journal.
 
-    One JSON object per line: [{"key": <string>, "result": <json>}].
-    Appends are a single buffered write followed by a flush, so a crash
-    can lose at most the line being written; {!load} silently discards
-    a torn trailing line, which makes resume after [kill -9] safe.
+    One JSON object per line: [{"key": <string>, "result": <json>}],
+    written and read through {!Sqed_obs.Jsonl}, so a crash can lose at
+    most the line being written and {!open_} discards a torn trailing
+    line, which makes resume after [kill -9] safe.
 
     A journal is mutex-protected — worker-pool tasks may {!record}
     concurrently.  Keys are free-form; campaigns use stable per-case

@@ -345,8 +345,15 @@ let test_ledger_torn_line () =
       Alcotest.(check int) "intact entries survive" 2
         (List.length l.History.entries);
       Alcotest.(check int) "torn line counted" 1 l.History.dropped;
-      (* and the ledger is still appendable *)
-      History.append path (mk_entry "c" 42.0))
+      (* and an append after the torn line survives the next load *)
+      History.append path (mk_entry "c" 42.0);
+      let l = History.load path in
+      Alcotest.(check (list string))
+        "entry appended after the torn line is kept" [ "a"; "b"; "c" ]
+        (List.filter_map
+           (fun e -> Option.bind (Json.member "label" e) Json.to_string_opt)
+           l.History.entries);
+      Alcotest.(check int) "only the torn line is dropped" 1 l.History.dropped)
 
 let test_ledger_provenance () =
   let e = mk_entry "a" 40.0 in
@@ -370,6 +377,26 @@ let test_ledger_compatible () =
   let bare = Json.Obj [ ("schema", Json.String History.schema) ] in
   Alcotest.(check bool) "entries without a config never match" false
     (History.compatible a bare)
+
+(* -- the shared perf gate ------------------------------------------------- *)
+
+let test_gate () =
+  let other = mk_entry ~config:(("jobs", Json.Int 8) :: List.tl config) "x" 9.0 in
+  let three = [ mk_entry "a" 40.0; other; mk_entry "b" 41.0; mk_entry "c" 42.0 ] in
+  let g = Diff.gate ~history:three ~cur:(mk_entry "cur" 123.0) in
+  Alcotest.(check int) "three compatible entries" 3 g.Diff.compatible;
+  Alcotest.(check int) "the different config is skipped and counted" 1
+    g.Diff.ignored;
+  Alcotest.(check bool) "a tripled wall is a regression" true
+    (List.exists
+       (fun d -> d.Diff.dl_metric = "exp.fig3.wall_s")
+       (Diff.regressions g.Diff.deltas));
+  let g = Diff.gate ~history:[ other; mk_entry "a" 40.0 ] ~cur:(mk_entry "cur" 123.0) in
+  Alcotest.(check int) "one compatible entry" 1 g.Diff.compatible;
+  Alcotest.(check string) "one entry is insufficient history" "Insufficient"
+    (pp_verdict (verdict_of "exp.fig3.wall_s" g.Diff.deltas));
+  Alcotest.(check int) "nothing regresses on one entry" 0
+    (List.length (Diff.regressions g.Diff.deltas))
 
 (* -- properties ----------------------------------------------------------- *)
 
@@ -449,6 +476,8 @@ let suite =
       test_ledger_provenance;
     Alcotest.test_case "config compatibility gate" `Quick
       test_ledger_compatible;
+    Alcotest.test_case "perf gate: config filter, bands, short history" `Quick
+      test_gate;
     QCheck_alcotest.to_alcotest prop_median_bounded;
     QCheck_alcotest.to_alcotest prop_band_contains_median;
     QCheck_alcotest.to_alcotest prop_band_monotone_in_k;
