@@ -1,13 +1,9 @@
-(* Post-run checks for the smoke aliases in bench/dune.  The `summary` mode
-   parses the JSON summary `sepe bench` just wrote (with the checked
-   parser — the same one that validates trace exports) and asserts that
-   the SAT preprocessor and the AIG layer actually ran and did real work
-   during the experiment, and that every experiment record carries the
-   work it did.  This is the guard that keeps the `simplify` plumbing and
-   the per-experiment attribution honest end-to-end: if the default ever
-   silently flips off, or the counters stop being published, the smoke
-   alias fails instead of the regression surfacing as a mystery slowdown
-   or a 100 % drop in a ledger. *)
+(* Post-run checks for the smoke aliases in bench/dune, all through the
+   checked JSON parser (the same one that validates trace exports).  The
+   `payload` mode checks the run payload `sepe bench` writes — the same
+   object the --report sidecar and the --ledger entry carry — and the
+   recorder artifacts next to it; `portfolio` checks a portfolio race;
+   `ledger` checks every entry of a run ledger. *)
 
 module Json = Sqed_obs.Json
 
@@ -26,90 +22,6 @@ let read_file path =
   let s = really_input_string ic n in
   close_in ic;
   s
-
-(* `report` mode, used by the @history-smoke alias: validate the flight
-   recorder's artifacts — the run.json sidecar, the JSONL event log and
-   (optionally) the standalone metrics snapshot — all through the same
-   checked parser.  The counter assertions pin the recorder's plumbing:
-   if log records stop reaching the ring, the sampler stops firing, or
-   the trace drop counter is unregistered, this fails in CI rather than
-   leaving silent holes in every future report. *)
-let check_report run_json log_jsonl metrics_json =
-  (match Json.parse (read_file run_json) with
-  | Error e ->
-      Printf.printf "FAIL %s does not parse: %s\n" run_json e;
-      incr failures
-  | Ok j ->
-      check "run.json schema is sepe.flight/1"
-        (Json.member "schema" j = Some (Json.String "sepe.flight/1"));
-      check "run.json records wall_s > 0"
-        (match Option.bind (Json.member "wall_s" j) Json.to_float_opt with
-        | Some w -> w > 0.0
-        | None -> false);
-      let counter name =
-        Option.bind (Json.member "metrics" j) (fun m ->
-            Option.bind (Json.member "counters" m) (fun c ->
-                Option.bind (Json.member name c) Json.to_int_opt))
-      in
-      List.iter
-        (fun name ->
-          check
-            (Printf.sprintf "counter %s > 0" name)
-            (match counter name with Some v -> v > 0 | None -> false))
-        [ "obs.log.records"; "obs.sampler.samples" ];
-      (* Present even at 0: a clean run drops nothing, but the counters
-         must stay published so drop spikes are visible when they come. *)
-      List.iter
-        (fun name ->
-          check (Printf.sprintf "counter %s present" name)
-            (counter name <> None))
-        [ "obs.trace.dropped"; "obs.log.dropped" ];
-      let nonempty_list name =
-        match Json.member name j with
-        | Some (Json.List (_ :: _)) -> true
-        | _ -> false
-      in
-      check "sampler recorded at least one domain series"
-        (match Option.bind (Json.member "samples" j) (Json.member "domains") with
-        | Some (Json.List (d :: _)) -> (
-            match Json.member "samples" d with
-            | Some (Json.List (_ :: _)) -> true
-            | _ -> false)
-        | _ -> false);
-      check "per-case verdict rows present" (nonempty_list "cases");
-      check "log tail embedded" (nonempty_list "log_tail"));
-  (* Every line of the JSONL sink must re-parse and carry the record
-     envelope. *)
-  let lines =
-    String.split_on_char '\n' (read_file log_jsonl)
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  check "JSONL log is non-empty" (lines <> []);
-  List.iteri
-    (fun i line ->
-      match Json.parse line with
-      | Error e ->
-          check (Printf.sprintf "log line %d parses (%s)" (i + 1) e) false
-      | Ok j ->
-          check
-            (Printf.sprintf "log line %d has ts_us/level/ev" (i + 1))
-            (Json.member "ts_us" j <> None
-            && Json.member "level" j <> None
-            && Json.member "ev" j <> None))
-    lines;
-  (match metrics_json with
-  | None -> ()
-  | Some path -> (
-      match Json.parse (read_file path) with
-      | Ok _ -> check "metrics snapshot parses" true
-      | Error e ->
-          Printf.printf "FAIL %s does not parse: %s\n" path e;
-          incr failures));
-  if !failures > 0 then begin
-    Printf.printf "report check: %d failure(s)\n" !failures;
-    exit 1
-  end;
-  print_endline "report check: all checks passed"
 
 (* `portfolio` mode, used by the @portfolio-smoke alias: after a
    `fig3 --fast --portfolio 2` run (witness BMC on), assert through the
@@ -238,18 +150,46 @@ let check_ledger path min_entries =
   end;
   print_endline "history-smoke check: all checks passed"
 
-(* Summary mode, used by the @history-smoke alias on the JSON summary of
-   its first `sepe bench` run. *)
-let check_summary path =
-  match Json.parse (read_file path) with
+(* The top-level keys of the payload a file carries: a JSON document, or
+   the run of the newest entry of a run ledger. *)
+let payload_keys path =
+  let module History = Sqed_obs.History in
+  let payload =
+    match List.rev (History.load path).History.entries with
+    | newest :: _ -> History.run_of newest
+    | [] -> Result.to_option (Json.parse (read_file path))
+  in
+  match payload with
+  | Some (Json.Obj kvs) -> Some (List.sort compare (List.map fst kvs))
+  | _ -> None
+
+(* `payload` mode, used by the @history-smoke alias on its first run: the
+   run payload must prove that the recorder recorded (obs.* counters,
+   sampler series, cases, log tail), that the SAT preprocessor and the
+   AIG layer ran and did real work, and that every experiment record
+   carries the work it did.  These pin the plumbing end to end: if the
+   simplify default silently flips off, log records stop reaching the
+   ring, the sampler stops firing or the per-experiment attribution
+   breaks, the alias fails instead of the regression surfacing as a
+   mystery slowdown or a 100 % drop in a ledger.  The JSONL event log and
+   the metrics snapshot must re-parse, and every [--same-keys] file (the
+   report sidecar, the ledger the run appended to) must carry a payload
+   with the same top-level keys. *)
+let check_payload path log_jsonl metrics_json same_keys =
+  (match Json.parse (read_file path) with
   | Error e ->
       Printf.printf "FAIL %s does not parse: %s\n" path e;
-      exit 1
+      incr failures
   | Ok j ->
-      check "summary records simplify=true"
-        (Json.member "simplify" j = Some (Json.Bool true));
-      check "summary records aig=true"
-        (Json.member "aig" j = Some (Json.Bool true));
+      check "schema is sepe.flight/1"
+        (Json.member "schema" j = Some (Json.String "sepe.flight/1"));
+      check "records wall_s > 0"
+        (match Option.bind (Json.member "wall_s" j) Json.to_float_opt with
+        | Some w -> w > 0.0
+        | None -> false);
+      let config k = Option.bind (Json.member "config" j) (Json.member k) in
+      check "config records simplify=true" (config "simplify" = Some (Json.Bool true));
+      check "config records aig=true" (config "aig" = Some (Json.Bool true));
       let counter name =
         Option.bind (Json.member "metrics" j) (fun m ->
             Option.bind (Json.member "counters" m) (fun c ->
@@ -261,38 +201,47 @@ let check_summary path =
             (Printf.sprintf "counter %s > 0" name)
             (match counter name with Some v -> v > 0 | None -> false))
         [
+          "obs.log.records"; "obs.sampler.samples";
           "sat.simplify.passes"; "sat.simplify.eliminated_vars";
           (* The AIG gate layer is on by default: nodes were built, the
              structural hash answered repeats, and polarity-aware
              conversion skipped clause halves. *)
           "smt.aig.nodes"; "smt.aig.struct_hits"; "smt.aig.rewrites";
           "smt.aig.pg_skipped_clauses";
-          (* Guards the sampler blind spot: bench keeps the sampler on
-             whenever metrics are, and the first-poll fallback means even
-             a short run records at least one sample.  A zero here means
-             the time-series layer silently died. *)
-          "obs.sampler.samples";
         ];
-      (* The resilience layer's counters must be published even when the
-         run was clean (value 0): operators grep for them to tell "no
-         retries happened" from "retry accounting fell off". *)
+      (* Present even at 0: a clean run drops nothing and retries nothing,
+         but the counters must stay published so operators can tell "none
+         happened" from "the accounting fell off". *)
       List.iter
         (fun name ->
-          check
-            (Printf.sprintf "counter %s present" name)
+          check (Printf.sprintf "counter %s present" name)
             (counter name <> None))
         [
+          "obs.trace.dropped"; "obs.log.dropped"; "obs.sampler.dropped";
           "resil.retries"; "resil.task_failures"; "resil.tasks_skipped";
           "resil.faults_injected"; "resil.budget.exhausted";
           "resil.checkpoint.records";
         ];
+      let nonempty_list name =
+        match Json.member name j with
+        | Some (Json.List (_ :: _)) -> true
+        | _ -> false
+      in
+      check "sampler recorded at least one domain series"
+        (match Option.bind (Json.member "samples" j) (Json.member "domains") with
+        | Some (Json.List (d :: _)) -> (
+            match Json.member "samples" d with
+            | Some (Json.List (_ :: _)) -> true
+            | _ -> false)
+        | _ -> false);
+      check "per-case verdict rows present" (nonempty_list "cases");
+      check "log tail embedded" (nonempty_list "log_tail");
       (match Json.member "experiments" j with
       | Some (Json.List (_ :: _ as exps)) ->
           check "at least one experiment record" true;
           (* The records' work is read from the metrics registry by delta;
              zeros here mean the registry was off while the experiment
-             ran, and a ledger entry built from them reads as a 100 %
-             drop. *)
+             ran. *)
           List.iter
             (fun e ->
               let name =
@@ -308,12 +257,47 @@ let check_summary path =
                     | None -> false))
                 [ "clauses"; "conflicts" ])
             exps
-      | _ -> check "at least one experiment record" false);
-      if !failures > 0 then begin
-        Printf.printf "bench-summary check: %d failure(s)\n" !failures;
-        exit 1
-      end;
-      print_endline "bench-summary check: all checks passed"
+      | _ -> check "at least one experiment record" false));
+  List.iter
+    (fun other ->
+      check
+        (Printf.sprintf "%s carries a payload with the same keys" other)
+        (match (payload_keys path, payload_keys other) with
+        | Some a, Some b -> a = b
+        | _ -> false))
+    same_keys;
+  (* Every line of the JSONL sink must re-parse and carry the record
+     envelope. *)
+  let lines =
+    String.split_on_char '\n' (read_file log_jsonl)
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  check "JSONL log is non-empty" (lines <> []);
+  List.iteri
+    (fun i line ->
+      match Json.parse line with
+      | Error e ->
+          check (Printf.sprintf "log line %d parses (%s)" (i + 1) e) false
+      | Ok j ->
+          check
+            (Printf.sprintf "log line %d has ts_us/level/ev" (i + 1))
+            (Json.member "ts_us" j <> None
+            && Json.member "level" j <> None
+            && Json.member "ev" j <> None))
+    lines;
+  (match metrics_json with
+  | None -> ()
+  | Some path -> (
+      match Json.parse (read_file path) with
+      | Ok _ -> check "metrics snapshot parses" true
+      | Error e ->
+          Printf.printf "FAIL %s does not parse: %s\n" path e;
+          incr failures));
+  if !failures > 0 then begin
+    Printf.printf "payload check: %d failure(s)\n" !failures;
+    exit 1
+  end;
+  print_endline "payload check: all checks passed"
 
 let () =
   let open Cmdliner in
@@ -323,12 +307,17 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "check_smoke")
           [
-            cmd "summary" "Check a sepe bench JSON summary."
-              Term.(const check_summary $ file 0 "SUMMARY");
-            cmd "report" "Check a run.json sidecar, JSONL log and metrics."
+            cmd "payload"
+              "Check a run payload, its JSONL log and metrics snapshot."
               Term.(
-                const check_report $ file 0 "RUN_JSON" $ file 1 "LOG"
-                $ Arg.(value & pos 2 (some file) None & info [] ~docv:"METRICS"));
+                const check_payload $ file 0 "PAYLOAD" $ file 1 "LOG"
+                $ Arg.(value & pos 2 (some file) None & info [] ~docv:"METRICS")
+                $ Arg.(
+                    value & opt_all file []
+                    & info [ "same-keys" ] ~docv:"FILE"
+                        ~doc:
+                          "A payload file or run ledger whose (newest) \
+                           payload must have the same top-level keys."));
             cmd "portfolio" "Check a portfolio run's run.json and JSONL log."
               Term.(const check_portfolio $ file 0 "RUN_JSON" $ file 1 "LOG");
             cmd "ledger" "Check every entry of a run ledger."

@@ -51,18 +51,15 @@ let degraded_exits =
 
 (* Campaign shape for the ledger's provenance config: commands that know
    their --fast/--jobs values stamp them here before running, so ledger
-   entries are only compared against config-compatible baselines. *)
+   entries are only compared against compatible baselines. *)
 let ledger_fast = ref false
 let ledger_jobs = ref None
 
-(* The provenance a ledger entry of this run carries; the config stamp
+(* The config stamp of this run's payload and ledger provenance; it
    reads the solver switches, so call it after [with_obs] set them. *)
-let ledger_provenance () =
-  History.provenance
-    ~config:
-      (Sqed_exp.Bench.config_json ~fast:!ledger_fast
-         ~jobs:(Option.value !ledger_jobs ~default:0))
-    ()
+let ledger_config () =
+  Sqed_exp.Bench.config_json ~fast:!ledger_fast
+    ~jobs:(Option.value !ledger_jobs ~default:0)
 
 (* ---- observability ----------------------------------------------------- *)
 
@@ -207,11 +204,10 @@ let obs_t =
       & opt (some string) None
       & info [ "ledger" ] ~docv:"FILE"
           ~doc:
-            "Append this run's machine-readable snapshot (the $(b,run.json) \
-             payload, or the $(b,sepe bench) summary, stamped with git \
-             commit/dirty flag, hostname, core count, OCaml version and \
-             solver config) to the append-only \
-             JSONL run ledger at $(docv).  Browse and diff the archive \
+            "Append this run's payload (the $(b,run.json) object, stamped \
+             with git commit/dirty flag, hostname, core count, OCaml \
+             version and solver config) to the append-only JSONL run \
+             ledger at $(docv).  Browse and diff the archive \
              with $(b,sepe runs list|show|compare); when combined with \
              $(b,--report), the HTML report grows a cross-run history \
              section.  Implies metrics and the sampler.")
@@ -253,11 +249,58 @@ let obs_t =
     $ metrics $ metrics_json $ trace $ log $ log_level $ progress $ report
     $ ledger $ no_simplify $ no_aig $ portfolio $ portfolio_det $ fault)
 
-(* [ledger_run] yields what --ledger archives as (kind, label, payload),
-   or None to archive nothing; by default the flight-recorder run.json
-   payload of the subcommand.  [history] is the ledger the report's
+let load_ledger path =
+  let loaded = History.load path in
+  if loaded.History.dropped > 0 then
+    Printf.printf "note: dropped %d torn/invalid ledger line(s)\n"
+      loaded.History.dropped;
+  loaded.History.entries
+
+(* Print the deltas — gated metrics always, counters only when they left
+   their band (or every one with [all]) — and the verdict line; true when
+   a gated metric regressed. *)
+let print_deltas ?(all = false) deltas =
+  List.iter
+    (fun d ->
+      if
+        all
+        || Diff.gated d.Diff.dl_metric
+        || d.Diff.dl_verdict = Diff.Regressed
+        || d.Diff.dl_verdict = Diff.Improved
+      then print_endline (Diff.to_string d))
+    deltas;
+  match Diff.regressions deltas with
+  | [] ->
+      print_endline "no gated regressions";
+      false
+  | regs ->
+      Printf.printf "PERF REGRESSION: %d gated metric(s) regressed\n"
+        (List.length regs);
+      true
+
+(* The perf-regression sentinel: ledger entry [cur] against the noise
+   bands of the compatible entries of [history] (same kind, label and
+   config). *)
+let gate ?all ~history cur =
+  let g = Diff.gate ~history ~cur in
+  Printf.printf "checking against the noise band of %d compatible earlier \
+                 run(s)%s\n"
+    g.Diff.compatible
+    (if g.Diff.ignored = 0 then ""
+     else
+       Printf.sprintf
+         ", ignoring %d with a different kind, label or \
+          {jobs,fast,simplify,aig,portfolio} config"
+         g.Diff.ignored);
+  print_deltas ?all g.Diff.deltas
+
+(* The finalizer builds the run payload once and sends it where it is
+   asked for: [json] (sepe bench --json), the [baseline] gate (sepe bench
+   --baseline) and --ledger, archived as a [kind]/[label] entry (default:
+   "sepe" and the subcommand name); --report writes the same payload
+   shape as its sidecar.  [baseline] is also the ledger the report's
    cross-run section reads (default: --ledger). *)
-let with_obs ?ledger_run ?history obs f =
+let with_obs ?(kind = "sepe") ?label ?json ?baseline obs f =
   if obs.obs_no_simplify then Sqed_smt.Solver.simplify_default := false;
   if obs.obs_no_aig then Sqed_smt.Solver.aig_default := false;
   if obs.obs_portfolio > 1 then
@@ -284,14 +327,43 @@ let with_obs ?ledger_run ?history obs f =
       Obs_log.set_sink ~level path
   | None -> ());
   if obs.obs_progress then Progress.enabled := true;
-  if obs.obs_report <> None || obs.obs_ledger <> None then begin
-    (* The report and the ledger snapshot embed the metrics and the
-       sampler series, so both recorders must run. *)
+  if obs.obs_report <> None || obs.obs_ledger <> None || json <> None then begin
+    (* The run payload embeds the metrics and the sampler series, so
+       both recorders must run. *)
     Metrics.enabled := true;
     Sampler.enabled := true
   end;
   Fun.protect
     ~finally:(fun () ->
+      let cmdline = String.concat " " (Array.to_list Sys.argv) in
+      let label =
+        match label with
+        | Some l -> l
+        | None -> if Array.length Sys.argv > 1 then Sys.argv.(1) else "sepe"
+      in
+      let config = ledger_config () in
+      Report.set_config config;
+      let payload = lazy (Report.run_payload ~title:"sepe run" ~cmdline ()) in
+      let entry =
+        lazy
+          (History.entry ~kind ~label
+             ~provenance:(History.provenance ~config ())
+             ~run:(Lazy.force payload))
+      in
+      Option.iter
+        (fun path ->
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc (Json.to_string (Lazy.force payload) ^ "\n"));
+          Printf.printf "\nwrote %s\n%!" path)
+        json;
+      (* Gate before the --ledger append, so a run is never its own
+         baseline. *)
+      Option.iter
+        (fun path ->
+          Printf.printf "\nbaseline: this run vs ledger %s\n" path;
+          if gate ~history:(load_ledger path) (Lazy.force entry) then
+            regression_exit := true)
+        baseline;
       (match obs.obs_trace with
       | Some path ->
           Span.export path;
@@ -315,9 +387,8 @@ let with_obs ?ledger_run ?history obs f =
       | None -> ());
       (match obs.obs_report with
       | Some path ->
-          let cmdline = String.concat " " (Array.to_list Sys.argv) in
           let history =
-            match (history, obs.obs_ledger) with
+            match (baseline, obs.obs_ledger) with
             | Some lp, _ | None, Some lp -> (History.load lp).History.entries
             | None, None -> []
           in
@@ -326,22 +397,11 @@ let with_obs ?ledger_run ?history obs f =
           in
           Printf.printf "report: wrote %s (+ %s)\n" path sidecar
       | None -> ());
-      (let run =
-         match ledger_run with
-         | Some f -> f ()
-         | None ->
-             let cmdline = String.concat " " (Array.to_list Sys.argv) in
-             Some
-               ( "sepe",
-                 (if Array.length Sys.argv > 1 then Sys.argv.(1) else "sepe"),
-                 Report.run_payload ~title:"sepe run" ~cmdline () )
-       in
-       match (obs.obs_ledger, run) with
-       | Some path, Some (kind, label, run) ->
-           History.append path
-             (History.entry ~kind ~label ~provenance:(ledger_provenance ()) ~run);
-           Printf.printf "ledger: appended run to %s\n" path
-       | _ -> ());
+      Option.iter
+        (fun path ->
+          History.append path (Lazy.force entry);
+          Printf.printf "ledger: appended run to %s\n" path)
+        obs.obs_ledger;
       if obs.obs_metrics then print_string (Metrics.report ());
       Obs_log.close_sink ())
     f
@@ -1138,50 +1198,6 @@ let runs_ledger_arg =
           "The run ledger to read: an append-only JSONL archive written by \
            $(b,sepe --ledger) (default: the committed baseline ledger).")
 
-let load_ledger path =
-  let loaded = History.load path in
-  if loaded.History.dropped > 0 then
-    Printf.printf "note: dropped %d torn/invalid ledger line(s)\n"
-      loaded.History.dropped;
-  loaded.History.entries
-
-(* Print the deltas — gated metrics always, counters only when they left
-   their band (or every one with [all]) — and the verdict line; true when
-   a gated metric regressed. *)
-let print_deltas ?(all = false) deltas =
-  List.iter
-    (fun d ->
-      if
-        all
-        || Diff.gated d.Diff.dl_metric
-        || d.Diff.dl_verdict = Diff.Regressed
-        || d.Diff.dl_verdict = Diff.Improved
-      then print_endline (Diff.to_string d))
-    deltas;
-  match Diff.regressions deltas with
-  | [] ->
-      print_endline "no gated regressions";
-      false
-  | regs ->
-      Printf.printf "PERF REGRESSION: %d gated metric(s) regressed\n"
-        (List.length regs);
-      true
-
-(* The perf-regression sentinel: ledger entry [cur] against the noise
-   bands of the config-compatible entries of [history]. *)
-let gate ?all ~history cur =
-  let g = Diff.gate ~history ~cur in
-  Printf.printf "checking against the noise band of %d compatible earlier \
-                 run(s)%s\n"
-    g.Diff.compatible
-    (if g.Diff.ignored = 0 then ""
-     else
-       Printf.sprintf
-         ", ignoring %d with a different {jobs,fast,simplify,aig,portfolio} \
-          config"
-         g.Diff.ignored);
-  print_deltas ?all g.Diff.deltas
-
 (* 1-based index into the ledger, counted from the oldest entry, as
    printed by `runs list`; 0 or negative counts from the newest. *)
 let nth_entry entries idx =
@@ -1246,8 +1262,8 @@ let runs_compare_cmd =
       & info [ "against-history" ]
           ~doc:
             "Instead of a two-run A/B diff, check CURRENT against the \
-             noise band (median +- k*MAD) of every config-compatible \
-             earlier entry — the same gate as $(b,sepe bench --baseline).")
+             noise band (median +- k*MAD) of every compatible (same kind, \
+             label and config) earlier entry — the same gate as $(b,sepe bench --baseline).")
   in
   let fail_on_regression =
     Arg.(
@@ -1293,9 +1309,9 @@ let runs_compare_cmd =
           else begin
             if not (History.compatible base_e cur_e) then
               Printf.printf
-                "note: the two entries have different {jobs,fast,simplify,\
-                 aig,portfolio} configs; deltas may reflect config, not \
-                 code\n";
+                "note: the two entries differ in kind, label or \
+                 {jobs,fast,simplify,aig,portfolio} config; deltas may \
+                 reflect the workload, not the code\n";
             print_deltas ~all
               (Diff.compare_runs ~base:(want base_e) ~cur:(want cur_e) ())
           end
@@ -1338,9 +1354,11 @@ let bench_cmd =
       & opt string "BENCH_sepe.json"
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Write the machine-readable summary (solver config, one \
-             wall/clauses/conflicts record per experiment, metrics snapshot) \
-             to $(docv).")
+            "Write the run payload (solver config, one \
+             wall/clauses/conflicts record per experiment, metrics snapshot, \
+             sampler series, cases, log tail) to $(docv): the object \
+             $(b,--report) writes as its $(b,run.json) sidecar and \
+             $(b,--ledger) archives.")
   in
   let baseline =
     Arg.(
@@ -1348,9 +1366,10 @@ let bench_cmd =
       & opt (some string) None
       & info [ "baseline" ] ~docv:"FILE"
           ~doc:
-            "Gate this run against the noise bands of the config-compatible \
-             entries of the run ledger $(docv), before any $(b,--ledger) \
-             append; a gated metric above its band exits with code 5.")
+            "Gate this run against the noise bands of the ledger $(docv)'s \
+             entries with the same experiments and config, before any \
+             $(b,--ledger) append; a gated metric above its band exits with \
+             code 5.")
   in
   let handicap =
     Arg.(
@@ -1365,43 +1384,18 @@ let bench_cmd =
     ledger_fast := fast;
     ledger_jobs := jobs;
     let label = match names with [] -> "all" | ns -> String.concat "+" ns in
-    let payload = ref None in
-    with_obs
-      ~ledger_run:(fun () -> Option.map (fun p -> ("bench", label, p)) !payload)
-      ?history:baseline obs
-    @@ fun () ->
-    (* The records' clause/conflict counts come from the metrics registry,
-       and the payload embeds the sampler's counters. *)
-    Metrics.enabled := true;
-    Sampler.enabled := true;
-    let verdict, p =
-      Sqed_exp.Bench.run ~fast ?jobs ?checkpoint ~handicap names
-    in
-    payload := Some p;
-    Out_channel.with_open_text json (fun oc ->
-        output_string oc (Json.to_string p ^ "\n"));
-    Printf.printf "\nwrote %s\n%!" json;
+    with_obs ~kind:"bench" ~label ~json ?baseline obs @@ fun () ->
+    let verdict = Sqed_exp.Bench.run ~fast ?jobs ?checkpoint ~handicap names in
     if Verdict.degraded verdict then
       Printf.printf "%s\n%!" (Verdict.summary_line verdict);
-    note_summary verdict;
-    (* Gate before with_obs appends this run, so a run is never its own
-       baseline. *)
-    Option.iter
-      (fun path ->
-        Printf.printf "\nbaseline: this run vs ledger %s\n" path;
-        let cur =
-          History.entry ~kind:"bench" ~label ~provenance:(ledger_provenance ())
-            ~run:p
-        in
-        if gate ~history:(load_ledger path) cur then regression_exit := true)
-      baseline
+    note_summary verdict
   in
   Cmd.v
     (Cmd.info "bench" ~exits:degraded_exits
        ~doc:
          "Run the paper's experiments (Fig. 3, Table 1, Fig. 4, E4-E7, the \
-          portfolio A/B), write a machine-readable summary and optionally \
-          gate it against a run ledger.")
+          portfolio A/B), write the run payload and optionally gate it \
+          against a run ledger.")
     Term.(
       const run $ obs_t $ fast_arg $ jobs_arg $ checkpoint_arg $ json $ baseline
       $ handicap $ experiments)

@@ -22,6 +22,7 @@ module Pool = Sqed_par.Pool
 module Json = Sqed_obs.Json
 module Metrics = Sqed_obs.Metrics
 module Span = Sqed_obs.Trace
+module Report = Sqed_obs.Report
 module Progress = Sqed_obs.Progress
 module Journal = Sqed_resil.Journal
 module Verdict = Sqed_resil.Verdict
@@ -31,7 +32,6 @@ type ctx = {
   jobs : int;
   checkpoint : string option;
   handicap : float;
-  mutable records : Json.t list;  (** experiment records, newest first *)
   mutable verdict : Verdict.summary;  (** aggregated campaign verdicts *)
 }
 
@@ -42,11 +42,12 @@ let section title = Printf.printf "\n%s\n%s\n%s\n%!" line title line
 let note_summary ctx s = ctx.verdict <- Verdict.add ctx.verdict s
 
 (* Run one experiment inside a span, attributing the global SAT clause and
-   conflict counters to it by delta.  The registry aggregates across every
-   solver instance on every domain, which is what makes the totals real —
-   synthesis experiments burn their SAT work inside per-candidate solvers
-   that are discarded immediately.  The record is written (and the span
-   closed) even if the experiment raises. *)
+   conflict counters to it by delta, and note the record in the run
+   payload.  The registry aggregates across every solver instance on
+   every domain, which is what makes the totals real — synthesis
+   experiments burn their SAT work inside per-candidate solvers that are
+   discarded immediately.  The record is noted (and the span closed) even
+   if the experiment raises. *)
 let timed ctx name f =
   let t0 = Unix.gettimeofday () in
   let c0 = Metrics.find_counter "sat.clauses" in
@@ -58,15 +59,10 @@ let timed ctx name f =
          honest baseline trips the regression sentinel. *)
       if ctx.handicap > 0.0 then
         Unix.sleepf (ctx.handicap *. (Unix.gettimeofday () -. t0));
-      ctx.records <-
-        Json.Obj
-          [
-            ("name", Json.String name);
-            ("wall_s", Json.Float (Unix.gettimeofday () -. t0));
-            ("clauses", Json.Int (Metrics.find_counter "sat.clauses" - c0));
-            ("conflicts", Json.Int (Metrics.find_counter "sat.conflicts" - k0));
-          ]
-        :: ctx.records)
+      Report.note_experiment ~name
+        ~wall_s:(Unix.gettimeofday () -. t0)
+        ~clauses:(Metrics.find_counter "sat.clauses" - c0)
+        ~conflicts:(Metrics.find_counter "sat.conflicts" - k0))
     (fun () -> Span.with_span_named ~cat:"bench" ("bench." ^ name) f)
 
 (* The solver-configuration stamp: two runs are only comparable when
@@ -543,20 +539,10 @@ let names = List.map fst experiments
 
 let run ?(fast = false) ?(jobs = 0) ?checkpoint ?(handicap = 0.0) selected =
   let jobs = if jobs > 0 then jobs else Pool.default_jobs () in
-  let ctx =
-    { fast; jobs; checkpoint; handicap; records = []; verdict = Verdict.empty }
-  in
+  let ctx = { fast; jobs; checkpoint; handicap; verdict = Verdict.empty } in
   Printf.printf "worker domains: %d (SEPE_JOBS or --jobs N to change)\n%!"
     jobs;
   List.iter
     (fun name -> timed ctx name (fun () -> List.assoc name experiments ctx))
     (if selected = [] then names else selected);
-  let payload =
-    Json.Obj
-      (config_json ~fast ~jobs
-      @ [
-          ("experiments", Json.List (List.rev ctx.records));
-          ("metrics", Metrics.to_json ());
-        ])
-  in
-  (ctx.verdict, payload)
+  ctx.verdict

@@ -19,14 +19,14 @@ val run :
   ?checkpoint:string ->
   ?handicap:float ->
   string list ->
-  Sqed_resil.Verdict.summary * Sqed_obs.Json.t
+  Sqed_resil.Verdict.summary
 (** [run names] runs the named experiments ({!names}; all of them when
     [names] is empty) in order and returns the aggregated campaign
-    verdict and the bench payload: the {!config_json} keys, one
-    [{name, wall_s, clauses, conflicts}] record per experiment (the
-    portfolio arms add their own records), and the metrics snapshot.
-    Clause and conflict counts are read from the metrics registry, so
-    the caller must enable {!Sqed_obs.Metrics}.  [?checkpoint] journals
-    and resumes fig3 and table1; [?handicap F] sleeps [F] times each
-    experiment's wall before its record is cut, inflating [wall_s]
-    deterministically (for testing the regression sentinel). *)
+    verdict.  Each experiment (and each portfolio arm) notes one
+    record — wall seconds and the clauses and conflicts it added — in
+    the run payload ({!Sqed_obs.Report.note_experiment}).  Clause and conflict
+    counts are read from the metrics registry, so the caller must enable
+    {!Sqed_obs.Metrics}.  [?checkpoint] journals and resumes fig3 and
+    table1; [?handicap F] sleeps [F] times each experiment's wall before
+    its record is cut, inflating [wall_s] deterministically (for testing
+    the regression sentinel). *)

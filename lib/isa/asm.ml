@@ -102,5 +102,3 @@ let parse_program text =
   in
   go [] 1 lines
 
-let print_program insns =
-  String.concat "\n" (List.map Insn.to_string insns)

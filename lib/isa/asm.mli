@@ -7,5 +7,3 @@
 val parse_insn : string -> (Insn.t, string) result
 val parse_program : string -> (Insn.t list, string) result
 (** One instruction per line; blank lines and comments are skipped. *)
-
-val print_program : Insn.t list -> string

@@ -10,9 +10,6 @@ val encode : Insn.t -> Bv.t
 val decode : Bv.t -> Insn.t option
 (** Decode a 32-bit word; [None] if it is not a supported instruction. *)
 
-val opcode_field : Bv.t -> int
-val funct3_field : Bv.t -> int
-val funct7_field : Bv.t -> int
 val rd_field : Bv.t -> int
 val rs1_field : Bv.t -> int
 val rs2_field : Bv.t -> int

@@ -92,8 +92,3 @@ let result ~xlen insn ~rs1 ~rs2 =
       Some (lui_result ~xlen (Term.of_int ~width:20 imm))
   | Insn.Lw _ | Insn.Sw _ -> None
 
-let effective_address ~xlen insn ~rs1 =
-  match insn with
-  | Insn.Lw (_, _, imm) | Insn.Sw (_, _, imm) ->
-      Some (Term.add rs1 (ext_imm ~xlen (imm_term ~imm)))
-  | Insn.R _ | Insn.I _ | Insn.Lui _ -> None

@@ -28,6 +28,3 @@ val result :
   xlen:int -> Insn.t -> rs1:Term.t -> rs2:Term.t -> Term.t option
 (** Register result of a concrete instruction applied to symbolic source
     values ([None] for loads and stores, whose result involves memory). *)
-
-val effective_address : xlen:int -> Insn.t -> rs1:Term.t -> Term.t option
-(** Symbolic effective address of a load/store. *)

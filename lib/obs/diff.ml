@@ -102,19 +102,21 @@ let gated name =
 
 (* -- comparisons ---------------------------------------------------------- *)
 
+let fresh name v =
+  {
+    dl_metric = name;
+    dl_base = Float.nan;
+    dl_cur = v;
+    dl_band = None;
+    dl_verdict = Fresh;
+  }
+
 let compare_runs ?(rel_floor = 0.35) ~base ~cur () =
   let base_metrics = metrics_of_payload base in
   List.map
     (fun (name, v) ->
       match List.assoc_opt name base_metrics with
-      | None ->
-          {
-            dl_metric = name;
-            dl_base = Float.nan;
-            dl_cur = v;
-            dl_band = None;
-            dl_verdict = Fresh;
-          }
+      | None -> fresh name v
       | Some b ->
           let verdict =
             if not (gated name) then Within
@@ -122,13 +124,7 @@ let compare_runs ?(rel_floor = 0.35) ~base ~cur () =
             else if v < b -. (rel_floor *. abs_float b) then Improved
             else Within
           in
-          {
-            dl_metric = name;
-            dl_base = b;
-            dl_cur = v;
-            dl_band = None;
-            dl_verdict = verdict;
-          })
+          { (fresh name v) with dl_base = b; dl_verdict = verdict })
     (metrics_of_payload cur)
 
 let last_n n l =
@@ -146,14 +142,7 @@ let compare_history ?k ?(rel_floor = 0.6) ?(abs_floor = 1.0) ?(window = 20)
     (fun (name, v) ->
       let baseline = List.filter_map (List.assoc_opt name) history in
       match band ?k ~rel_floor ~abs_floor baseline with
-      | None ->
-          {
-            dl_metric = name;
-            dl_base = Float.nan;
-            dl_cur = v;
-            dl_band = None;
-            dl_verdict = Fresh;
-          }
+      | None -> fresh name v
       | Some b ->
           let verdict =
             if b.bd_n < min_history then Insufficient
@@ -162,9 +151,8 @@ let compare_history ?k ?(rel_floor = 0.6) ?(abs_floor = 1.0) ?(window = 20)
             else Within
           in
           {
-            dl_metric = name;
+            (fresh name v) with
             dl_base = b.bd_median;
-            dl_cur = v;
             dl_band = Some b;
             dl_verdict = verdict;
           })

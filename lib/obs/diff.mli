@@ -1,14 +1,15 @@
 (** Pure differential engine over archived run payloads.
 
     Compares two runs, or one run against the history a ledger holds,
-    metric by metric.  Metrics are extracted uniformly from both
-    payload shapes the ledger archives — bench summaries
-    ([exp.<name>.wall_s/clauses/conflicts] per experiment record) and
-    flight-recorder sidecars ([run.wall_s]) — plus every metrics
-    counter as [counter.<name>] and every gauge as [gauge.<name>].
+    metric by metric.  A run payload ({!Report.run_payload}) flattens
+    to [exp.<name>.wall_s/clauses/conflicts] per experiment record,
+    [run.wall_s], every metrics counter as [counter.<name>] and every
+    gauge as [gauge.<name>].  Ledger entries archived before [sepe
+    bench] wrote the run payload (experiment records and metrics, no
+    top-level [wall_s]) flatten through the same keys.
 
     History comparisons are gated through a robust noise band: median
-    {m \pm} [k]·MAD over the last [window] config-compatible entries,
+    {m \pm} [k]·MAD over the last [window] compatible entries,
     widened to a relative floor so a degenerate MAD (identical history
     values) or a short history does not turn ordinary jitter into a
     false regression.  The band needs at least [min_history] points;
@@ -102,16 +103,16 @@ val regressions : delta list -> delta list
 type gate = {
   deltas : delta list;  (** {!compare_history} over the compatible entries *)
   compatible : int;  (** entries the bands were computed over *)
-  ignored : int;  (** entries skipped for a different provenance config *)
+  ignored : int;  (** entries skipped for a different kind, label or config *)
 }
 
 val gate : history:Json.t list -> cur:Json.t -> gate
 (** The perf-regression sentinel shared by [sepe bench --baseline] and
     [sepe runs compare --against-history]: [cur] is a ledger entry
     ({!History.entry}), [history] the ledger entries it is judged
-    against (oldest first).  Entries whose provenance config differs
-    from [cur]'s ({!History.compatible}) are skipped and counted; the
-    rest feed {!compare_history} with its default band.  The run
+    against (oldest first).  Entries whose kind, label or provenance
+    config differs from [cur]'s ({!History.compatible}) are skipped and
+    counted; the rest feed {!compare_history} with its default band.  The run
     regressed when {!regressions} of [deltas] is non-empty. *)
 
 val to_string : delta -> string

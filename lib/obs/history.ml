@@ -76,10 +76,14 @@ let run_of e = Json.member "run" e
 let config_of e =
   Option.bind (Json.member "provenance" e) (Json.member "config")
 
+(* Same producer, same experiment set or subcommand, same config:
+   anything less compares different work (a [fig3] run banded against a
+   [fig3+portfolio] one). *)
 let compatible a b =
-  match (config_of a, config_of b) with
-  | Some ca, Some cb -> ca = cb
-  | _ -> false
+  config_of a <> None
+  && List.for_all
+       (fun field -> field a = field b)
+       [ Json.member "kind"; Json.member "label"; config_of ]
 
 let summary_line idx e =
   let str k d =
@@ -110,8 +114,9 @@ let summary_line idx e =
     | Some (Json.Bool true) -> "+"
     | _ -> ""
   in
-  (* Headline wall: the flight payload's wall_s, else the sum of the
-     bench payload's per-experiment walls. *)
+  (* Headline wall: the payload's wall_s, else (entries archived before
+     bench runs carried the run payload) the sum of the per-experiment
+     walls. *)
   let wall =
     match run_of e with
     | None -> None

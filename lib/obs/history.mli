@@ -3,10 +3,10 @@
 
     Every archived run is one JSON object per line (schema
     {!schema} = [sepe.ledger/1]) wrapping the run's machine-readable
-    payload — a [run.json] flight-recorder snapshot or a bench summary —
-    together with environment {!provenance}: git commit and dirty flag,
-    hostname, core count, OCaml version and the solver configuration in
-    force.  The file is written and read through {!Jsonl} (the same
+    payload — the {!Report.run_payload} of any subcommand, [sepe bench]
+    included — together with environment {!provenance}: git commit and
+    dirty flag, hostname, core count, OCaml version and the solver
+    configuration in force.  The file is written and read through {!Jsonl} (the same
     discipline as the [lib/resil] checkpoint journal), so a crash can
     lose at most the line being written, and a ledger shared by
     interrupted runs stays safe to keep appending to.
@@ -14,7 +14,7 @@
     The ledger is the substrate for the differential engine ({!Diff})
     and the perf-regression sentinel ({!Diff.gate}): [sepe bench
     --baseline] compares the run it just finished against the
-    config-compatible tail of a ledger, and [sepe runs list|show|compare]
+    compatible tail of a ledger, and [sepe runs list|show|compare]
     browse one from the shell. *)
 
 val schema : string
@@ -58,14 +58,13 @@ val load : string -> loaded
 val run_of : Json.t -> Json.t option
 (** The archived run payload of an entry. *)
 
-val config_of : Json.t -> Json.t option
-(** The provenance config object of an entry. *)
-
 val compatible : Json.t -> Json.t -> bool
-(** [compatible a b] is true when both entries carry a provenance
-    config and the configs are structurally equal — the gate that keeps
-    the sentinel from comparing, say, a [--no-aig] run against an AIG
-    baseline.  Entries without a config are never compatible. *)
+(** [compatible a b] is true when both entries have the same [kind] and
+    [label] and carry structurally equal provenance configs — the gate
+    that keeps the sentinel from comparing, say, a [--no-aig] run
+    against an AIG baseline, or a [fig3] run against a
+    [fig3+portfolio] one.  Entries without a config are never
+    compatible. *)
 
 val summary_line : int -> Json.t -> string
 (** One human-readable line for [sepe runs list]: index, UTC

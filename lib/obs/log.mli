@@ -1,8 +1,8 @@
 (** Leveled, domain-safe structured logger: the event-log half of the
     flight recorder.
 
-    Every record carries a monotonic timestamp (microseconds since the
-    log epoch), the emitting domain id, an event name and typed
+    Every record carries a monotonic timestamp (microseconds since
+    {!Ring.epoch}), the emitting domain id, an event name and typed
     key/value fields. Records at {!Info} and above always land in a
     bounded per-domain in-memory ring — even with no sink attached — so
     the tail of the flight can be dumped into crash/degraded-exit
@@ -20,7 +20,7 @@ type level = Debug | Info | Warn | Error
 type field = Str of string | I of int | F of float | B of bool
 
 type event = {
-  lg_ts : float;  (** microseconds since the log epoch *)
+  lg_ts : float;  (** microseconds since {!Ring.epoch} *)
   lg_dom : int;  (** emitting domain id *)
   lg_level : level;
   lg_ev : string;  (** event name, dot-separated ["layer.thing.verb"] *)
@@ -63,10 +63,11 @@ val dump_tail : ?min_level:level -> int -> out_channel -> unit
 (** Write {!tail} as JSON-lines; used by degraded-exit summaries. *)
 
 val dropped : unit -> int
-(** Events overwritten in the rings since the last {!reset}. *)
+(** Events overwritten in the rings since the last {!reset}; published
+    to the [obs.log.dropped] counter by {!Ring.publish_dropped}. *)
 
 val to_json : event -> Json.t
 
 val reset : unit -> unit
-(** Clear the rings and restart the epoch; the sink is left attached.
-    Test helper. *)
+(** Clear the rings and restart the recorder clock ({!Ring.reset}); the
+    sink is left attached. Test helper. *)

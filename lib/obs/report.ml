@@ -15,26 +15,38 @@ type case_row = {
   rc_dur : float;
 }
 
-let started = ref (Unix.gettimeofday ())
-let cases_mu = Mutex.create ()
+(* What the drivers noted for this run, newest first. *)
+let mu = Mutex.create ()
 let noted : case_row list ref = ref []
+let experiments : Json.t list ref = ref []
+let config : (string * Json.t) list ref = ref []
 
-let note_case r =
-  Mutex.lock cases_mu;
-  noted := r :: !noted;
-  Mutex.unlock cases_mu
+let locked f =
+  Mutex.lock mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
-let cases () =
-  Mutex.lock cases_mu;
-  let r = List.rev !noted in
-  Mutex.unlock cases_mu;
-  r
+let note_case r = locked (fun () -> noted := r :: !noted)
+
+let note_experiment ~name ~wall_s ~clauses ~conflicts =
+  let e =
+    Json.Obj
+      [
+        ("name", Json.String name);
+        ("wall_s", Json.Float wall_s);
+        ("clauses", Json.Int clauses);
+        ("conflicts", Json.Int conflicts);
+      ]
+  in
+  locked (fun () -> experiments := e :: !experiments)
+
+let set_config c = locked (fun () -> config := c)
+let cases () = locked (fun () -> List.rev !noted)
 
 let reset () =
-  Mutex.lock cases_mu;
-  noted := [];
-  Mutex.unlock cases_mu;
-  started := Unix.gettimeofday ()
+  locked (fun () ->
+      noted := [];
+      experiments := [];
+      config := [])
 
 (* -- formatting helpers -------------------------------------------------- *)
 
@@ -138,17 +150,27 @@ let case_json r =
     ]
 
 let run_json ~title ~cmdline ~now =
+  Ring.publish_dropped ();
+  (* An empty series usually means an instrumentation regression (poll
+     sites unplugged), not an uninteresting run — say so in the flight
+     log, before the payload copies its tail. *)
+  if !Sampler.enabled && Sampler.series () = [] then
+    Log.warn "obs.report.empty_series"
+      [ ("hint", Log.Str "sampler enabled but no samples recorded") ];
+  let config, experiments =
+    locked (fun () -> (!config, List.rev !experiments))
+  in
   Json.Obj
     [
       ("schema", Json.String "sepe.flight/1");
       ("title", Json.String title);
       ("cmdline", Json.String cmdline);
       ("generated_unix_s", Json.Float now);
-      ("wall_s", Json.Float (now -. !started));
+      ("wall_s", Json.Float (now -. Ring.epoch ()));
+      ("config", Json.Obj config);
+      ("experiments", Json.List experiments);
       ("metrics", Metrics.to_json ());
       ("samples", Sampler.to_json ());
-      ("trace_dropped", Json.Int (Trace.dropped ()));
-      ("log_dropped", Json.Int (Log.dropped ()));
       ("cases", Json.List (List.map case_json (cases ())));
       ("log_tail", Json.List (List.map Log.to_json (Log.tail 100)));
     ]
@@ -223,114 +245,80 @@ let tile ~k ~v =
 
 let obj_members = function Json.Obj kvs -> kvs | _ -> []
 
-let timers_table metrics =
-  let timers =
-    match Json.member "timers" metrics with Some t -> obj_members t | None -> []
+(* A table with a header row, or a placeholder line when it has no rows;
+   [rows] are rendered cell lists, [code] cells in the first column. *)
+let table ~empty headers rows =
+  let row cells =
+    match cells with
+    | [] -> ""
+    | first :: rest ->
+        Printf.sprintf "<tr><td><code>%s</code></td>%s</tr>" (html_escape first)
+          (String.concat "" rest)
   in
-  let rows =
-    timers
-    |> List.filter_map (fun (name, j) ->
-           match
-             ( Json.member "calls" j,
-               Json.member "total_us" j,
-               Json.member "mean_us" j )
-           with
-           | Some calls, Some total, Some mean ->
-               let total_us =
-                 Option.value ~default:0.0 (Json.to_float_opt total)
-               in
-               if total_us <= 0.0 then None
-               else
-                 Some
-                   ( name,
-                     Option.value ~default:0 (Json.to_int_opt calls),
-                     total_us,
-                     Option.value ~default:0.0 (Json.to_float_opt mean) )
-           | _ -> None)
-    |> List.sort (fun (_, _, a, _) (_, _, b, _) -> compare b a)
-  in
-  if rows = [] then "<p class=\"sub\">no timers recorded</p>"
+  if rows = [] then Printf.sprintf "<p class=\"sub\">%s</p>" empty
   else
-    "<table><tr><th>phase</th><th>calls</th><th>total</th><th>mean</th></tr>"
-    ^ String.concat ""
-        (List.map
-           (fun (name, calls, total, mean) ->
-             Printf.sprintf
-               {|<tr><td><code>%s</code></td><td class="num">%d</td><td class="num">%s</td><td class="num">%s</td></tr>|}
-               (html_escape name) calls (fmt_us total) (fmt_us mean))
-           rows)
+    "<table><tr>"
+    ^ String.concat "" (List.map (Printf.sprintf "<th>%s</th>") headers)
+    ^ "</tr>"
+    ^ String.concat "" (List.map row rows)
     ^ "</table>"
+
+let num s = Printf.sprintf {|<td class="num">%s</td>|} s
+
+let section metrics name =
+  obj_members (Option.value ~default:Json.Null (Json.member name metrics))
+
+let timers_table metrics =
+  section metrics "timers"
+  |> List.filter_map (fun (name, j) ->
+         let f k = Option.bind (Json.member k j) Json.to_float_opt in
+         match (f "calls", f "total_us", f "mean_us") with
+         | Some calls, Some total, Some mean when total > 0.0 ->
+             Some
+               ( total,
+                 [
+                   name; num (Printf.sprintf "%.0f" calls); num (fmt_us total);
+                   num (fmt_us mean);
+                 ] )
+         | _ -> None)
+  |> List.sort (fun (a, _) (b, _) -> compare b a)
+  |> List.map snd
+  |> table ~empty:"no timers recorded" [ "phase"; "calls"; "total"; "mean" ]
 
 let counters_table metrics =
-  let counters =
-    match Json.member "counters" metrics with
-    | Some c -> obj_members c
-    | None -> []
-  in
-  let rows =
-    counters
-    |> List.filter_map (fun (name, j) ->
-           match Json.to_int_opt j with
-           | Some v when v > 0 -> Some (name, v)
-           | _ -> None)
-  in
-  if rows = [] then "<p class=\"sub\">no counters recorded</p>"
-  else
-    "<table><tr><th>counter</th><th>value</th></tr>"
-    ^ String.concat ""
-        (List.map
-           (fun (name, v) ->
-             Printf.sprintf
-               {|<tr><td><code>%s</code></td><td class="num">%s</td></tr>|}
-               (html_escape name)
-               (humanize (float_of_int v)))
-           rows)
-    ^ "</table>"
+  section metrics "counters"
+  |> List.filter_map (fun (name, j) ->
+         match Json.to_int_opt j with
+         | Some v when v > 0 -> Some [ name; num (humanize (float_of_int v)) ]
+         | _ -> None)
+  |> table ~empty:"no counters recorded" [ "counter"; "value" ]
 
 let histograms_table metrics =
-  let hs =
-    match Json.member "histograms" metrics with
-    | Some h -> obj_members h
-    | None -> []
-  in
-  let rows =
-    hs
-    |> List.filter_map (fun (name, j) ->
-           match (Json.member "count" j, Json.member "sum" j) with
-           | Some c, Some s -> (
-               match (Json.to_int_opt c, Json.to_int_opt s) with
-               | Some c, Some s when c > 0 -> Some (name, c, s)
-               | _ -> None)
-           | _ -> None)
-  in
-  if rows = [] then "<p class=\"sub\">no histograms recorded</p>"
-  else
-    "<table><tr><th>histogram</th><th>count</th><th>sum</th><th>mean</th></tr>"
-    ^ String.concat ""
-        (List.map
-           (fun (name, c, s) ->
-             Printf.sprintf
-               {|<tr><td><code>%s</code></td><td class="num">%d</td><td class="num">%s</td><td class="num">%s</td></tr>|}
-               (html_escape name) c
-               (humanize (float_of_int s))
-               (humanize (float_of_int s /. float_of_int c)))
-           rows)
-    ^ "</table>"
+  section metrics "histograms"
+  |> List.filter_map (fun (name, j) ->
+         let i k = Option.bind (Json.member k j) Json.to_int_opt in
+         match (i "count", i "sum") with
+         | Some c, Some s when c > 0 ->
+             Some
+               [
+                 name; num (string_of_int c); num (humanize (float_of_int s));
+                 num (humanize (float_of_int s /. float_of_int c));
+               ]
+         | _ -> None)
+  |> table ~empty:"no histograms recorded"
+       [ "histogram"; "count"; "sum"; "mean" ]
 
 let cases_table rows =
-  if rows = [] then "<p class=\"sub\">no cases recorded</p>"
-  else
-    "<table><tr><th>case</th><th>verdict</th><th>detail</th><th>time</th></tr>"
-    ^ String.concat ""
-        (List.map
-           (fun r ->
-             Printf.sprintf
-               {|<tr><td><code>%s</code></td><td>%s</td><td>%s</td><td class="num">%s</td></tr>|}
-               (html_escape r.rc_key) (status_cell r.rc_status)
-               (html_escape r.rc_detail)
-               (if r.rc_dur > 0.0 then Printf.sprintf "%.1fs" r.rc_dur else "–"))
-           rows)
-    ^ "</table>"
+  List.map
+    (fun r ->
+      [
+        r.rc_key;
+        "<td>" ^ status_cell r.rc_status ^ "</td>";
+        "<td>" ^ html_escape r.rc_detail ^ "</td>";
+        num (if r.rc_dur > 0.0 then Printf.sprintf "%.1fs" r.rc_dur else "–");
+      ])
+    rows
+  |> table ~empty:"no cases recorded" [ "case"; "verdict"; "detail"; "time" ]
 
 let log_tail_html () =
   let evs = Log.tail 50 in
@@ -368,15 +356,8 @@ let sparks_html () =
     ]
     |> List.filter (fun b -> b <> "")
   in
-  if blocks = [] then begin
-    (* A blank time-series section usually means an instrumentation
-       regression (sampler never enabled, poll sites unplugged), not an
-       uninteresting run — say so in the flight log too. *)
-    if !Sampler.enabled then
-      Log.warn "obs.report.empty_series"
-        [ ("hint", Log.Str "sampler enabled but no samples recorded") ];
+  if blocks = [] then
     "<p class=\"sub\">no samples recorded (sampler off or run too short)</p>"
-  end
   else {|<div class="sparks">|} ^ String.concat "" blocks ^ "</div>"
 
 (* -- cross-run history ----------------------------------------------------- *)
@@ -439,21 +420,14 @@ let history_html history cur =
         (List.length payloads)
         (String.concat "" (List.map row shown))
 
-let html ~title ~cmdline ~history ~now =
-  let metrics = Metrics.to_json () in
+let html ~title ~cmdline ~history ~now ~run =
+  let metrics = Option.value ~default:Json.Null (Json.member "metrics" run) in
   let rows = cases () in
   let count st = List.length (List.filter (fun r -> r.rc_status = st) rows) in
-  let find name =
-    match Json.member "counters" metrics with
-    | Some c -> (
-        match Json.member name c with
-        | Some j -> Option.value ~default:0 (Json.to_int_opt j)
-        | None -> 0)
-    | None -> 0
-  in
+  let find = Metrics.find_counter in
   let tiles =
     [
-      tile ~k:"wall time" ~v:(Printf.sprintf "%.1fs" (now -. !started));
+      tile ~k:"wall time" ~v:(Printf.sprintf "%.1fs" (now -. Ring.epoch ()));
       tile ~k:"cases ok" ~v:(string_of_int (count Ok));
       tile ~k:"unknown" ~v:(string_of_int (count Unknown));
       tile ~k:"failed" ~v:(string_of_int (count Failed));
@@ -463,8 +437,6 @@ let html ~title ~cmdline ~history ~now =
         ~v:(humanize (float_of_int (find "sat.propagations")));
     ]
   in
-  let trace_dropped = Trace.dropped () in
-  let log_dropped = Log.dropped () in
   Printf.sprintf
     {|<!DOCTYPE html>
 <html lang="en"><head><meta charset="utf-8">
@@ -498,10 +470,10 @@ let html ~title ~cmdline ~history ~now =
     (html_escape cmdline)
     (String.concat "" tiles)
     (sparks_html ())
-    (history_html history (run_json ~title ~cmdline ~now))
+    (history_html history run)
     (cases_table rows) (timers_table metrics)
     (histograms_table metrics) (counters_table metrics) (log_tail_html ())
-    trace_dropped log_dropped
+    (Trace.dropped ()) (Log.dropped ())
 
 let sidecar_path path =
   let base =
@@ -512,15 +484,16 @@ let sidecar_path path =
 
 let write ?(title = "sepe-sqed run") ?(cmdline = "") ?(history = []) ~path () =
   let now = Unix.gettimeofday () in
+  let run = run_json ~title ~cmdline ~now in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (html ~title ~cmdline ~history ~now));
+    (fun () -> output_string oc (html ~title ~cmdline ~history ~now ~run));
   let side = sidecar_path path in
   let oc = open_out side in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc (Json.to_string (run_json ~title ~cmdline ~now));
+      output_string oc (Json.to_string run);
       output_char oc '\n');
   side

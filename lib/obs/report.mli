@@ -1,18 +1,21 @@
-(** Self-contained per-run HTML report plus a machine-readable
-    [run.json] sidecar.
+(** The run payload — one machine-readable schema for every
+    subcommand — and the self-contained per-run HTML report.
 
-    {!write} snapshots the whole flight recorder — metrics registry,
-    sampler series, log-ring tail, trace drop count — together with the
-    per-case verdict rows the campaign pushed through {!note_case}, and
-    renders a single HTML file with no external assets: stat tiles,
-    inline-SVG sparklines per sampler series, the phase-timer table,
-    histogram summaries, the verdict table and the log tail. The
-    sidecar (same path with a [.json] extension) carries the same data
-    as checked JSON so CI re-parses it with [Json.parse].
+    {!run_payload} is the one payload builder: [sepe --report] writes
+    it as the report's [run.json] sidecar, [sepe --ledger] archives it
+    and [sepe bench --json] writes it to a file.  It snapshots the
+    whole flight recorder — metrics registry (with the {!Ring} drop
+    counters published), sampler series, log-ring tail — together with
+    what the drivers noted for the run: per-case verdict rows
+    ({!note_case}), per-experiment records ({!note_experiment}) and the
+    solver configuration stamp ({!set_config}).  {!write} renders the
+    same data as a single HTML file with no external assets: stat
+    tiles, inline-SVG sparklines per sampler series, the phase-timer
+    table, histogram summaries, the verdict table and the log tail.
 
-    Case rows are plain data pushed by the campaign drivers ([lib/exp],
-    [lib/synth], the CLIs) — the dependency points that way because
-    [lib/resil] links against this library, not the reverse. *)
+    Rows and records are plain data pushed by the campaign drivers
+    ([lib/exp], [lib/synth], the CLIs) — the dependency points that way
+    because [lib/resil] links against this library, not the reverse. *)
 
 (** Per-case outcome, mirroring [lib/resil] verdicts plus the
     checkpoint-resume case. *)
@@ -28,22 +31,30 @@ type case_row = {
 val note_case : case_row -> unit
 (** Append a row to the run's verdict table. Thread-safe. *)
 
-val cases : unit -> case_row list
-(** Rows noted so far, in arrival order. *)
+val note_experiment :
+  name:string -> wall_s:float -> clauses:int -> conflicts:int -> unit
+(** Append an experiment of a [sepe bench] run, with the SAT work
+    attributed to it, to the run's experiment list. Thread-safe. *)
+
+val set_config : (string * Json.t) list -> unit
+(** Set the run's configuration stamp, the payload's [config] object
+    (by convention the ledger provenance config). *)
 
 val run_payload : ?title:string -> ?cmdline:string -> unit -> Json.t
-(** The machine-readable run snapshot ([schema sepe.flight/1]): the
-    same object {!write} puts in the sidecar, for callers that archive
-    it elsewhere — e.g. appending to a {!History} ledger. *)
+(** The run payload ([schema sepe.flight/1]): [title], [cmdline],
+    [generated_unix_s], [wall_s] (seconds since {!Ring.epoch}),
+    [config], [experiments] ([{name, wall_s, clauses, conflicts}]
+    records), [metrics], [samples], [cases] and [log_tail]. *)
 
 val write :
   ?title:string -> ?cmdline:string -> ?history:Json.t list ->
   path:string -> unit -> string
-(** Write the HTML report to [path] and the sidecar next to it;
-    returns the sidecar path.  [history] (ledger entries, oldest
-    first) adds a cross-run section: per-metric sparklines across the
-    archived runs with this run appended, noise-band verdicts from
-    {!Diff}, regression rows highlighted. *)
+(** Write the HTML report to [path] and the {!run_payload} sidecar next
+    to it (same path with a [.json] extension); returns the sidecar
+    path.  [history] (ledger entries, oldest first) adds a cross-run
+    section: per-metric sparklines across the archived runs with this
+    run appended, noise-band verdicts from {!Diff}, regression rows
+    highlighted. *)
 
 val reset : unit -> unit
-(** Drop noted cases and restart the run clock. Test helper. *)
+(** Drop the noted cases, experiments and configuration. Test helper. *)

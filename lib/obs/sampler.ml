@@ -1,9 +1,9 @@
 (* Periodic per-domain time-series sampler.
 
    Each domain keeps its latest reported live values (conflicts,
-   propagations, learnts, AIG nodes) in domain-local state and appends
-   a sample row to its own ring when the interval has elapsed — no
-   locks on the hot path, same registration scheme as [Trace]/[Log]. *)
+   propagations, learnts, AIG nodes) as the state of its [Ring] and
+   appends a sample row to that ring when the interval has elapsed — no
+   locks on the hot path. *)
 
 let enabled = ref false
 let interval_us = ref 50_000
@@ -22,84 +22,62 @@ type sample = {
 
 let ring_capacity = 2048
 
-type dstate = {
-  d_dom : int;
-  mutable d_buf : sample array; (* [||] until the first sample *)
-  mutable d_next : int;
-  mutable d_count : int;
-  (* Latest live values reported by the owning hot loops. *)
-  mutable d_conflicts : int;
-  mutable d_props : int;
-  mutable d_learnts : int;
-  mutable d_aig : int;
-  (* Previous sample, for rate computation. *)
-  mutable d_prev_ts : float; (* seconds, absolute *)
-  mutable d_prev_conflicts : int;
-  mutable d_prev_props : int;
+(* Latest live values reported by the owning hot loops, and the previous
+   sample for rate computation. *)
+type live = {
+  mutable conflicts : int;
+  mutable props : int;
+  mutable learnts : int;
+  mutable aig : int;
+  mutable prev_ts : float; (* seconds, absolute; 0 before the first sample *)
+  mutable prev_conflicts : int;
+  mutable prev_props : int;
 }
 
-let states_mu = Mutex.create ()
-let states : dstate list ref = ref []
-let epoch = ref (Unix.gettimeofday ())
+let ring : (sample, live) Ring.t =
+  Ring.create "sampler" ~capacity:ring_capacity (fun () ->
+      {
+        conflicts = 0;
+        props = 0;
+        learnts = 0;
+        aig = 0;
+        prev_ts = 0.0;
+        prev_conflicts = 0;
+        prev_props = 0;
+      })
 
-let state_key =
-  Domain.DLS.new_key (fun () ->
-      let d =
-        {
-          d_dom = (Domain.self () :> int);
-          d_buf = [||];
-          d_next = 0;
-          d_count = 0;
-          d_conflicts = 0;
-          d_props = 0;
-          d_learnts = 0;
-          d_aig = 0;
-          d_prev_ts = 0.0;
-          d_prev_conflicts = 0;
-          d_prev_props = 0;
-        }
-      in
-      Mutex.lock states_mu;
-      states := d :: !states;
-      Mutex.unlock states_mu;
-      d)
-
-let sample_now d now =
-  let dt = now -. d.d_prev_ts in
+let sample_now r d now =
+  let dt = now -. d.prev_ts in
   let rate cur prev = if dt <= 0.0 then 0.0 else float_of_int (cur - prev) /. dt in
-  let s =
+  Ring.push r
     {
-      sm_ts = (now -. !epoch) *. 1e6;
+      sm_ts = (now -. Ring.epoch ()) *. 1e6;
       sm_conflicts_s =
-        (if d.d_prev_ts = 0.0 then 0.0 else rate d.d_conflicts d.d_prev_conflicts);
-      sm_props_s =
-        (if d.d_prev_ts = 0.0 then 0.0 else rate d.d_props d.d_prev_props);
-      sm_learnts = d.d_learnts;
-      sm_aig_nodes = d.d_aig;
+        (if d.prev_ts = 0.0 then 0.0 else rate d.conflicts d.prev_conflicts);
+      sm_props_s = (if d.prev_ts = 0.0 then 0.0 else rate d.props d.prev_props);
+      sm_learnts = d.learnts;
+      sm_aig_nodes = d.aig;
       sm_heap_words = (Gc.quick_stat ()).Gc.heap_words;
-    }
-  in
-  if Array.length d.d_buf = 0 then d.d_buf <- Array.make ring_capacity s
-  else d.d_buf.(d.d_next) <- s;
-  d.d_next <- (d.d_next + 1) mod ring_capacity;
-  d.d_count <- d.d_count + 1;
-  d.d_prev_ts <- now;
-  d.d_prev_conflicts <- d.d_conflicts;
-  d.d_prev_props <- d.d_props;
+    };
+  d.prev_ts <- now;
+  d.prev_conflicts <- d.conflicts;
+  d.prev_props <- d.props;
   Metrics.add_always m_samples 1
 
-let maybe_sample d =
+let maybe_sample r =
+  let d = Ring.state r in
   let now = Unix.gettimeofday () in
-  if (now -. d.d_prev_ts) *. 1e6 >= float_of_int !interval_us then
-    sample_now d now
+  if (now -. d.prev_ts) *. 1e6 >= float_of_int !interval_us then
+    sample_now r d now
 
 let poll_sat ~conflicts ~propagations ~learnts =
   if !enabled then begin
-    let d = Domain.DLS.get state_key in
-    d.d_conflicts <- conflicts;
-    d.d_props <- propagations;
-    d.d_learnts <- learnts;
-    maybe_sample d
+    let r = Ring.local ring in
+    let d = Ring.state r in
+    d.conflicts <- conflicts;
+    d.props <- propagations;
+    d.learnts <- learnts;
+    maybe_sample r
   end;
   Progress.beat ()
 
@@ -109,34 +87,18 @@ let tick = ref 0
 let poll_quick () =
   if !enabled then begin
     incr tick;
-    let d = Domain.DLS.get state_key in
+    let r = Ring.local ring in
     (* Tick-count fallback: until this domain has recorded its first
        sample, bypass the 1/64 mask so a run short on polls (a fast
        bench cell, a test) still leaves a series behind instead of a
        blank sparkline. *)
-    if d.d_count = 0 || !tick land 63 = 0 then maybe_sample d
+    if Ring.pushed r = 0 || !tick land 63 = 0 then maybe_sample r
   end;
   Progress.beat ()
 
-let note_aig_nodes n =
-  if !enabled then begin
-    let d = Domain.DLS.get state_key in
-    d.d_aig <- n
-  end
+let note_aig_nodes n = if !enabled then (Ring.state (Ring.local ring)).aig <- n
 
-let kept d =
-  if d.d_count >= Array.length d.d_buf then
-    (* Oldest-first: the slice from d_next wraps around. *)
-    List.init (Array.length d.d_buf) (fun i ->
-        d.d_buf.((d.d_next + i) mod Array.length d.d_buf))
-  else Array.to_list (Array.sub d.d_buf 0 d.d_count)
-
-let series () =
-  Mutex.lock states_mu;
-  let all = List.map (fun d -> (d.d_dom, kept d)) !states in
-  Mutex.unlock states_mu;
-  List.sort (fun (a, _) (b, _) -> compare a b)
-    (List.filter (fun (_, s) -> s <> []) all)
+let series () = Ring.snapshot ring
 
 let sample_json s =
   Json.Obj
@@ -165,20 +127,4 @@ let to_json () =
              (series ())) );
     ]
 
-let reset () =
-  Mutex.lock states_mu;
-  List.iter
-    (fun d ->
-      d.d_buf <- [||];
-      d.d_next <- 0;
-      d.d_count <- 0;
-      d.d_conflicts <- 0;
-      d.d_props <- 0;
-      d.d_learnts <- 0;
-      d.d_aig <- 0;
-      d.d_prev_ts <- 0.0;
-      d.d_prev_conflicts <- 0;
-      d.d_prev_props <- 0)
-    !states;
-  Mutex.unlock states_mu;
-  epoch := Unix.gettimeofday ()
+let reset () = Ring.reset ring

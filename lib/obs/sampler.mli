@@ -5,9 +5,10 @@
     pool worker boundaries): each call site reports the live values it
     owns ({!poll_sat}, {!note_aig_nodes}) or just offers a sampling
     opportunity ({!poll_quick}), and the sampler records a row into the
-    calling domain's ring buffer whenever {!interval} has elapsed —
+    calling domain's {!Ring} whenever {!set_interval_us} has elapsed —
     conflict and propagation rates, learnt-DB size, AIG node count and
-    [Gc.quick_stat] heap words.
+    [Gc.quick_stat] heap words.  Each ring keeps the newest 2048 rows;
+    overwritten rows are counted in [obs.sampler.dropped].
 
     With {!enabled} unset every entry point costs one boolean load
     (plus one for the {!Progress} heartbeat it forwards), matching the
@@ -23,7 +24,7 @@ val set_interval_us : int -> unit
     50_000). [0] samples on every poll — test use. *)
 
 type sample = {
-  sm_ts : float;  (** microseconds since the sampler epoch *)
+  sm_ts : float;  (** microseconds since {!Ring.epoch} *)
   sm_conflicts_s : float;  (** conflict rate since the previous sample *)
   sm_props_s : float;  (** propagation rate since the previous sample *)
   sm_learnts : int;  (** learnt-clause DB size at the sample *)
@@ -53,4 +54,5 @@ val to_json : unit -> Json.t
     in [run.json]. *)
 
 val reset : unit -> unit
-(** Drop all series and restart the epoch. Test helper. *)
+(** Drop all series and live values and restart the recorder clock
+    ({!Ring.reset}). Test helper. *)

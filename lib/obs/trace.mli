@@ -15,7 +15,6 @@ type kind
     timer. Create once at module-init time. *)
 
 val kind : ?cat:string -> string -> kind
-val name_of : kind -> string
 
 val with_span : ?args:(string * string) list -> kind -> (unit -> 'a) -> 'a
 (** Run [f] inside a span. Exception-safe: the span closes (and the
@@ -27,7 +26,7 @@ val with_span_named : ?cat:string -> string -> (unit -> 'a) -> 'a
 type event = {
   ev_name : string;
   ev_cat : string;
-  ev_ts : float;  (** microseconds since trace epoch *)
+  ev_ts : float;  (** microseconds since {!Ring.epoch} *)
   ev_dur : float;  (** microseconds *)
   ev_tid : int;  (** domain id *)
   ev_depth : int;  (** nesting depth within its domain at begin time *)
@@ -43,13 +42,15 @@ val dropped : unit -> int
 
 val export : string -> unit
 (** Write the Chrome trace JSON array (one event per line) to a file, or
-    to stdout when the path is ["-"]. Also surfaces ring evictions: the
-    total is added to the [obs.trace.dropped] counter and, when nonzero,
-    a [warn] record is emitted through {!Log}. *)
+    to stdout when the path is ["-"]. Also surfaces ring evictions: they
+    are published to the [obs.trace.dropped] counter
+    ({!Ring.publish_dropped}) and, when nonzero, a [warn] record is
+    emitted through {!Log}. *)
 
 val validate_export : string -> (int, string) result
 (** Re-parse an exported trace with the checked JSON parser and verify
     the trace_event shape; [Ok n] is the event count. *)
 
 val reset : unit -> unit
-(** Drop all buffered events and restart the trace epoch. *)
+(** Drop all buffered events and restart the recorder clock
+    ({!Ring.reset}). *)

@@ -34,8 +34,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     exactly as before.  For campaigns that must survive failing cases,
     use {!map_result}. *)
 
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-
 val iter : t -> ('a -> unit) -> 'a list -> unit
 
 (** {1 Supervised mapping} *)

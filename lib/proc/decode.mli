@@ -48,6 +48,3 @@ type ctrl = {
 
 val decode : C.builder -> Config.t -> C.signal -> ctrl
 (** [decode b cfg instr] with [instr] a 32-bit signal. *)
-
-val ext12 : C.builder -> Config.t -> C.signal -> C.signal
-(** Sign-extend (or truncate) a 12-bit immediate field to XLEN. *)

@@ -31,18 +31,6 @@ let key_name = function
   | Klw -> "LW"
   | Ksw -> "SW"
 
-let all_keys ~ext_m ~ext_div =
-  let rops =
-    List.filter
-      (fun op ->
-        (ext_m || not (Insn.rop_is_mul op))
-        && (ext_div || not (Insn.rop_is_div op)))
-      Insn.all_rops
-  in
-  List.map (fun op -> Kr op) rops
-  @ List.map (fun op -> Ki op) Insn.all_iops
-  @ [ Klui; Klw; Ksw ]
-
 (* ------------------------------------------------------------------ *)
 (* Built-in EDSEP-V templates                                          *)
 (* ------------------------------------------------------------------ *)

@@ -39,10 +39,6 @@ type key = Kr of Insn.rop | Ki of Insn.iop | Klui | Klw | Ksw
 
 type t = (key * tinsn list) list
 
-val key_of_insn : Insn.t -> key
-val key_name : key -> string
-val all_keys : ext_m:bool -> ext_div:bool -> key list
-
 val builtin : xlen:int -> n_temp:int -> t
 (** The built-in, property-tested EDSEP-V table.  Templates are chosen per
     datapath width (narrow widths admit shorter sign-flip tricks) and per

@@ -22,16 +22,6 @@ val random_original : Qed_top.t -> Random.State.t -> Insn.t
 (** A random legal original instruction for the model's partition (fields
     in O, loads/stores confined to the original memory half). *)
 
-val run_program :
-  ?interleave:(Random.State.t -> bool) ->
-  Qed_top.t ->
-  Random.State.t ->
-  Insn.t list ->
-  run
-(** Simulate one program.  [interleave] decides, each cycle where both a
-    new original and a pending equivalent instruction are available, which
-    to dispatch (default: random). *)
-
 type campaign = {
   runs : int;
   detections : int;

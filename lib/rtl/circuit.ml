@@ -116,10 +116,6 @@ let sext b x w =
   if w < width b x then invalid_arg "Circuit.sext: smaller target";
   if w = width b x then x else push b (Node.Sext (w, x)) w
 
-let reduce_or b = function
-  | [] -> gnd b
-  | x :: xs -> List.fold_left (or_ b) x xs
-
 let reduce_and b = function
   | [] -> vdd b
   | x :: xs -> List.fold_left (and_ b) x xs

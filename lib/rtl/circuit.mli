@@ -65,7 +65,6 @@ val sext : builder -> signal -> int -> signal
 val concat : builder -> signal -> signal -> signal
 (** [concat b hi lo]. *)
 
-val reduce_or : builder -> signal list -> signal
 val reduce_and : builder -> signal list -> signal
 val onehot_mux : builder -> (signal * signal) list -> default:signal -> signal
 (** [onehot_mux b [(sel, v); ...] ~default]: priority mux chain. *)

@@ -106,11 +106,6 @@ let cycle t env =
   t.last_outputs <- outs;
   outs
 
-let peek_output t name =
-  match List.assoc_opt name t.last_outputs with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "Sim: no output %S" name)
-
 let reg_value t name =
   match Hashtbl.find_opt t.reg_by_name name with
   | Some r -> Hashtbl.find t.state r

@@ -17,9 +17,6 @@ val cycle : t -> (string * Bv.t) list -> (string * Bv.t) list
 (** Run one clock cycle with the given input valuation (all inputs must be
     supplied) and return the outputs. *)
 
-val peek_output : t -> string -> Bv.t
-(** Output value from the most recent [cycle]. *)
-
 val reg_value : t -> string -> Bv.t
 (** Current value of a register, by register name. *)
 

@@ -52,10 +52,6 @@ val add_clause : t -> lit list -> unit
 (** Add a clause.  Adding the empty clause (or a clause that simplifies to
     it) makes the instance permanently unsatisfiable. *)
 
-val add_clause_a : t -> lit array -> unit
-(** Array variant of {!add_clause} (the encoder hot path; the array is
-    copied, not captured). *)
-
 (** {2 Preprocessing}
 
     A SatELite-style simplifier ({!Simplify}: bounded variable

@@ -42,8 +42,6 @@ val create : Sat.t -> t
 val etrue : edge
 val efalse : edge
 val enot : edge -> edge
-val is_true : edge -> bool
-val is_false : edge -> bool
 val is_const : edge -> bool
 
 val fresh_input : t -> edge

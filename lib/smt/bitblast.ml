@@ -369,8 +369,6 @@ let create ?(aig = true) sat =
   in
   { backend; pending = [] }
 
-let uses_aig t = match t.backend with Aig _ -> true | Direct _ -> false
-
 let true_lit t =
   match t.backend with
   | Direct b -> b.DC.ctx.Direct_gates.tlit
@@ -393,10 +391,6 @@ let blast t term =
           Aig.freeze g e;
           Aig.lit g e)
         (AC.blast b term)
-
-let blast_bool t term =
-  if Term.width term <> 1 then invalid_arg "Bitblast.blast_bool: width <> 1";
-  (blast t term).(0)
 
 let do_assert t term =
   match t.backend with

@@ -15,7 +15,6 @@
 type t
 
 val create : ?aig:bool -> Sqed_sat.Sat.t -> t
-val uses_aig : t -> bool
 
 val true_lit : t -> Sqed_sat.Sat.lit
 val false_lit : t -> Sqed_sat.Sat.lit
@@ -26,9 +25,6 @@ val blast : t -> Term.t -> Sqed_sat.Sat.lit array
     freezes the literals, since they escape to the caller; prefer
     {!assert_bool} / {!assume_bool}, which encode only the needed
     polarity. *)
-
-val blast_bool : t -> Term.t -> Sqed_sat.Sat.lit
-(** The single literal of a width-1 term (both polarities, as {!blast}). *)
 
 val assert_bool : t -> Term.t -> unit
 (** Assert a width-1 term as a unit clause (positive-polarity cone only on

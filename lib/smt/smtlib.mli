@@ -4,8 +4,5 @@
 val declarations : Term.t list -> string
 (** [declare-const] lines for every free variable of the given terms. *)
 
-val assert_term : Term.t -> string
-(** An [(assert ...)] line for a width-1 term. *)
-
 val script : Term.t list -> string
 (** A complete [QF_BV] script asserting each term, ending in [check-sat]. *)

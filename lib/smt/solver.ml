@@ -72,7 +72,6 @@ let create ?simplify ?aig ?portfolio ?portfolio_deterministic () =
   }
 
 let set_portfolio_active s b = s.portfolio_active <- b
-let portfolio_width s = s.portfolio
 let last_unknown s = s.last_unknown
 
 let set_budget s b = Sat.set_budget s.sat b

@@ -57,9 +57,6 @@ val set_portfolio_active : t -> bool -> unit
 (** Per-query portfolio gate (off on a fresh solver).  No-op unless the
     solver was created with a portfolio width above 1. *)
 
-val portfolio_width : t -> int
-(** The width this solver was created with (1 = single engine). *)
-
 val last_unknown : t -> Sqed_resil.Budget.reason option
 (** Why the most recent {!check} returned [Unknown]: the SAT core's
     {!Sqed_sat.Sat.last_interrupt}, or the budget-exhaustion reason when

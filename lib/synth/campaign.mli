@@ -9,14 +9,6 @@ type engine = Hpf | Iterative
 
 type case_result = { case : string; result : Engine.result }
 
-val run_case :
-  engine:engine ->
-  options:Engine.options ->
-  library:Component.t list ->
-  string ->
-  case_result
-(** Synthesize one case (an instruction name from {!Library_}). *)
-
 val synthesize_all :
   ?engine:engine ->
   ?jobs:int ->

@@ -55,8 +55,6 @@ val arity : t -> int
 
 val imm_arity : t -> int
 
-val cls_name : cls -> string
-
 val pp : Format.formatter -> t -> unit
 
 (** {1 Specifications (the original instructions g)} *)

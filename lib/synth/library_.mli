@@ -19,8 +19,6 @@ val cics : Component.t list
     instruction (including SRA and MULH) has a structurally different
     equivalent within three components. *)
 
-val imm_input : Component.t
-
 val default : Component.t list
 (** [nics @ dics @ cics @ [imm_input]] — 30 components. *)
 

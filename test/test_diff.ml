@@ -14,7 +14,8 @@ let close = Alcotest.(check (float 1e-9))
 
 (* -- payload builders ---------------------------------------------------- *)
 
-(* A bench-summary shape: experiment records + counters. *)
+(* The shape ledger entries had before `sepe bench` wrote the run
+   payload: experiment records + counters, no top-level wall_s. *)
 let bench_payload ?(name = "fig3") ~wall ~clauses ~conflicts () =
   Json.Obj
     [
@@ -305,8 +306,8 @@ let config =
     ("portfolio", Json.Int 1);
   ]
 
-let mk_entry ?(config = config) label wall =
-  History.entry ~kind:"bench" ~label
+let mk_entry ?(config = config) ?(kind = "bench") label wall =
+  History.entry ~kind ~label
     ~provenance:(History.provenance ~config ())
     ~run:(bench_payload ~wall ~clauses:1000 ~conflicts:100 ())
 
@@ -367,11 +368,15 @@ let test_ledger_provenance () =
     [ "git_commit"; "hostname"; "cores"; "ocaml"; "config" ]
 
 let test_ledger_compatible () =
-  let a = mk_entry "a" 40.0 in
-  let b = mk_entry "b" 41.0 in
-  Alcotest.(check bool) "same config is compatible" true
+  let a = mk_entry "fig3" 40.0 in
+  let b = mk_entry "fig3" 41.0 in
+  Alcotest.(check bool) "same kind, label and config is compatible" true
     (History.compatible a b);
-  let other = mk_entry ~config:(("jobs", Json.Int 8) :: List.tl config) "c" 9.0 in
+  Alcotest.(check bool) "a different label is not" false
+    (History.compatible a (mk_entry "fig3+portfolio" 41.0));
+  Alcotest.(check bool) "a different kind is not" false
+    (History.compatible a (mk_entry ~kind:"sepe" "fig3" 41.0));
+  let other = mk_entry ~config:(("jobs", Json.Int 8) :: List.tl config) "fig3" 9.0 in
   Alcotest.(check bool) "different jobs is not" false
     (History.compatible a other);
   let bare = Json.Obj [ ("schema", Json.String History.schema) ] in
@@ -381,17 +386,26 @@ let test_ledger_compatible () =
 (* -- the shared perf gate ------------------------------------------------- *)
 
 let test_gate () =
-  let other = mk_entry ~config:(("jobs", Json.Int 8) :: List.tl config) "x" 9.0 in
-  let three = [ mk_entry "a" 40.0; other; mk_entry "b" 41.0; mk_entry "c" 42.0 ] in
-  let g = Diff.gate ~history:three ~cur:(mk_entry "cur" 123.0) in
+  let other = mk_entry ~config:(("jobs", Json.Int 8) :: List.tl config) "fig3" 9.0 in
+  let fig3 = mk_entry "fig3" in
+  let history =
+    [
+      fig3 40.0; other; fig3 41.0;
+      mk_entry "fig3+portfolio" 95.0;
+      mk_entry ~kind:"sepe" "fig3" 45.0;
+      fig3 42.0;
+    ]
+  in
+  let g = Diff.gate ~history ~cur:(fig3 123.0) in
   Alcotest.(check int) "three compatible entries" 3 g.Diff.compatible;
-  Alcotest.(check int) "the different config is skipped and counted" 1
+  Alcotest.(check int)
+    "the different config, label and kind are skipped and counted" 3
     g.Diff.ignored;
   Alcotest.(check bool) "a tripled wall is a regression" true
     (List.exists
        (fun d -> d.Diff.dl_metric = "exp.fig3.wall_s")
        (Diff.regressions g.Diff.deltas));
-  let g = Diff.gate ~history:[ other; mk_entry "a" 40.0 ] ~cur:(mk_entry "cur" 123.0) in
+  let g = Diff.gate ~history:[ other; fig3 40.0 ] ~cur:(fig3 123.0) in
   Alcotest.(check int) "one compatible entry" 1 g.Diff.compatible;
   Alcotest.(check string) "one entry is insufficient history" "Insufficient"
     (pp_verdict (verdict_of "exp.fig3.wall_s" g.Diff.deltas));

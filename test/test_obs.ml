@@ -1,8 +1,9 @@
 (* Tests for the observability layer (Sqed_obs): the hand-rolled checked
-   JSON parser, the sharded metrics registry, and the span tracer.  The
-   registry and tracer are global state shared with the instrumented
-   libraries, so every test runs under [isolated], which resets both and
-   restores the enabled flags to off (their library default). *)
+   JSON parser, the sharded metrics registry, the per-domain rings, the
+   span tracer and the flight recorder.  The registry and the recorders
+   are global state shared with the instrumented libraries, so every test
+   runs under [isolated], which resets them and restores the enabled
+   flags to off (their library default). *)
 
 module Json = Sqed_obs.Json
 module Metrics = Sqed_obs.Metrics
@@ -11,6 +12,7 @@ module Log = Sqed_obs.Log
 module Progress = Sqed_obs.Progress
 module Sampler = Sqed_obs.Sampler
 module Report = Sqed_obs.Report
+module Ring = Sqed_obs.Ring
 
 let reset_all () =
   Metrics.reset ();
@@ -183,6 +185,93 @@ let test_reset () =
   Metrics.incr c;
   Alcotest.(check int) "counter usable after reset" 1
     (Metrics.counter_value c)
+
+(* ---------------------------------------------------------------- *)
+(* Rings                                                             *)
+(* ---------------------------------------------------------------- *)
+
+(* A small-capacity family, so a handful of pushes wraps it.  Its state
+   counts pushes per domain, to show that [reset] restarts it. *)
+let small_ring : (int, int ref) Ring.t =
+  Ring.create "test.ring" ~capacity:4 (fun () -> ref 0)
+
+let push_small v =
+  let l = Ring.local small_ring in
+  incr (Ring.state l);
+  Ring.push l v
+
+let test_ring_wrap_keeps_newest () =
+  Ring.reset small_ring;
+  for i = 0 to 9 do
+    push_small i
+  done;
+  (match Ring.snapshot small_ring with
+  | [ (_, kept) ] ->
+      Alcotest.(check (list int)) "newest entries, oldest first" [ 6; 7; 8; 9 ]
+        kept
+  | s -> Alcotest.failf "expected one ring, got %d" (List.length s));
+  Alcotest.(check int) "pushes counted past the capacity" 10
+    (Ring.pushed (Ring.local small_ring));
+  (* Exactly full is not yet a wrap. *)
+  Ring.reset small_ring;
+  List.iter push_small [ 1; 2; 3; 4 ];
+  Alcotest.(check (list (pair int (list int))))
+    "a full ring keeps everything"
+    [ ((Domain.self () :> int), [ 1; 2; 3; 4 ]) ]
+    (Ring.snapshot small_ring);
+  Alcotest.(check int) "nothing dropped at capacity" 0 (Ring.dropped small_ring)
+
+let test_ring_dropped () =
+  Ring.reset small_ring;
+  for i = 1 to 10 do
+    push_small i
+  done;
+  Alcotest.(check int) "dropped = pushes - capacity" 6 (Ring.dropped small_ring);
+  let published () = Metrics.find_counter "obs.test.ring.dropped" in
+  Ring.publish_dropped ();
+  Alcotest.(check int) "published to the ring's counter" 6 (published ());
+  Ring.publish_dropped ();
+  Alcotest.(check int) "publishing again adds nothing" 6 (published ());
+  push_small 11;
+  push_small 12;
+  Ring.publish_dropped ();
+  Alcotest.(check int) "later drops add their delta" 8 (published ())
+
+let test_ring_two_domains () =
+  Ring.reset small_ring;
+  let d = Domain.spawn (fun () -> List.iter push_small [ 10; 11; 12; 13; 14; 15 ]) in
+  Domain.join d;
+  List.iter push_small [ 1; 2 ];
+  (match Ring.snapshot small_ring with
+  | [ (a, ka); (b, kb) ] ->
+      Alcotest.(check bool) "sorted by domain id" true (a < b);
+      Alcotest.(check (list int)) "main domain's ring" [ 1; 2 ] ka;
+      Alcotest.(check (list int)) "finished domain's ring stays readable"
+        [ 12; 13; 14; 15 ] kb
+  | s -> Alcotest.failf "expected two rings, got %d" (List.length s));
+  Alcotest.(check int) "drops summed over both rings" 2
+    (Ring.dropped small_ring)
+
+let test_ring_reset () =
+  Ring.reset small_ring;
+  let d = Domain.spawn (fun () -> List.iter push_small [ 1; 2; 3; 4; 5 ]) in
+  Domain.join d;
+  List.iter push_small [ 1; 2; 3; 4; 5; 6 ];
+  let e0 = Ring.epoch () in
+  Unix.sleepf 0.002;
+  Ring.reset small_ring;
+  Alcotest.(check int) "every ring emptied" 0
+    (List.length (Ring.snapshot small_ring));
+  Alcotest.(check int) "drops cleared" 0 (Ring.dropped small_ring);
+  Alcotest.(check bool) "clock restarted" true (Ring.epoch () > e0);
+  let l = Ring.local small_ring in
+  Alcotest.(check int) "state restarted" 0 !(Ring.state l);
+  Alcotest.(check int) "push count restarted" 0 (Ring.pushed l);
+  push_small 7;
+  Alcotest.(check (list (pair int (list int))))
+    "usable after reset"
+    [ ((Domain.self () :> int), [ 7 ]) ]
+    (Ring.snapshot small_ring)
 
 (* ---------------------------------------------------------------- *)
 (* Tracing                                                           *)
@@ -522,6 +611,14 @@ let suite =
       (isolated test_metrics_json_roundtrip);
     Alcotest.test_case "reset keeps registrations" `Quick
       (isolated test_reset);
+    Alcotest.test_case "ring wrap keeps the newest entries" `Quick
+      (isolated test_ring_wrap_keeps_newest);
+    Alcotest.test_case "ring drops are counted and published" `Quick
+      (isolated test_ring_dropped);
+    Alcotest.test_case "rings of two domains in one snapshot" `Quick
+      (isolated test_ring_two_domains);
+    Alcotest.test_case "ring reset empties rings and restarts the clock" `Quick
+      (isolated test_ring_reset);
     Alcotest.test_case "span nesting and ordering" `Quick
       (isolated test_span_nesting);
     Alcotest.test_case "spans close on exception" `Quick
